@@ -21,8 +21,14 @@ from .errors import (
     ResourceLimitError,
     UnresolvedMomentsError,
 )
-from .multiindex import MonomialIndex, count_up_to_weight, monomial_at, position_of
-from .operator_algebra import entry_expression_pt
+from .multiindex import (
+    MonomialIndex,
+    count_up_to_weight,
+    monomial_at,
+    packed_positions,
+    position_of,
+)
+from .operator_algebra import plan_for
 from .transpositions import TranspositionSet
 
 #: default relative scale for calling a determinant negative
@@ -122,6 +128,9 @@ def build_matrix(provider, transposed, selection: Selection, *,
                  hermiticity_tol: float = 1e-6) -> MomentMatrix:
     """Evaluate the moment matrix for ``selection`` under partial transposition.
 
+    Entries are gathered from a compiled entry plan (see
+    :func:`~ptmoments.operator_algebra.plan_for`) with the transposed modes'
+    exponents swapped, and each distinct moment is fetched once.
     Both triangles are computed independently, the Hermiticity defect is
     recorded, and the matrix is symmetrized as (m + m†)/2.  Any moments the
     provider cannot resolve are aggregated into a single error listing every
@@ -129,23 +138,32 @@ def build_matrix(provider, transposed, selection: Selection, *,
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
-    monomials = selection.monomials(modes)
-    n = len(monomials)
-    values = np.zeros((n, n), dtype=complex)
-    missing: set[MonomialIndex] = set()
-    for s in range(n):
-        for t in range(n):
-            expression = entry_expression_pt(monomials[s], monomials[t], transposed)
-            try:
-                values[s, t] = expression.evaluate(provider)
-            except UnresolvedMomentsError:
-                for key in expression.terms:
-                    try:
-                        provider.moment(key)
-                    except UnresolvedMomentsError:
-                        missing.add(key)
+    plan, rows = plan_for(modes, selection.positions)
+    entry, coefficients, keys = plan.select(rows)
+    swap = np.arange(2 * modes)
+    for mode in transposed.members:
+        swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
+    keys = keys[:, swap]
+    positions = packed_positions(keys, plan.binomials)
+    unique, first, inverse = np.unique(positions, return_index=True, return_inverse=True)
+    moments = np.empty(unique.size, dtype=complex)
+    missing: list[MonomialIndex] = []
+    for i, (position, at) in enumerate(zip(unique.tolist(), first.tolist())):
+        key = plan.monomial(position, keys[at])
+        try:
+            moments[i] = provider.moment(key)
+        except UnresolvedMomentsError:
+            missing.append(key)
     if missing:
-        raise UnresolvedMomentsError(sorted(missing, key=position_of))
+        raise UnresolvedMomentsError(missing)
+    # Sum every entry's terms in position order, as MomentExpression.evaluate does.
+    order = np.argsort(entry * (int(unique[-1]) + 1) + positions)
+    terms = coefficients[order] * moments[inverse[order]]
+    n = len(selection)
+    values = np.empty(n * n, dtype=complex)
+    values.real = np.bincount(entry[order], weights=terms.real, minlength=n * n)
+    values.imag = np.bincount(entry[order], weights=terms.imag, minlength=n * n)
+    values = values.reshape(n, n)
     residual = float(np.max(np.abs(values - values.conj().T)))
     if residual > hermiticity_tol:
         raise MomentDataError(

@@ -468,8 +468,9 @@ def load_moment_table(source) -> MomentTable:
     """Parse and validate the JSON moment-table format.
 
     The document is ``{"modes": n, "tolerance": t, "entries": [...]}`` with
-    each entry ``{"k": [...], "l": [...], "re": x, "im": y}``.  The identity
-    entry must be present with value 1 within tolerance; Hermitian partners
+    each entry ``{"k": [...], "l": [...], "re": x, "im": y}``.  Values must be
+    finite.  The identity entry must be present with value 1 within
+    tolerance; Hermitian partners
     are checked against each other and filled in by conjugation when absent.
     """
     if hasattr(source, "read"):
@@ -507,6 +508,8 @@ def load_moment_table(source) -> MomentTable:
                 f"'k' and 'l' must be lists of {modes} nonnegative integers: {item}"
             )
         value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise MomentDataError(f"moment value for k={k}, l={l} is not finite: {value}")
         key = MonomialIndex(tuple(zip(k, l)))
         if key in entries:
             raise MomentDataError(f"duplicate entry for key {key}")

@@ -16,6 +16,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 MultiIndex = tuple[int, ...]
 
 
@@ -64,21 +66,35 @@ def next_multiindex(u: MultiIndex) -> MultiIndex:
     return (u[i] - 1,) + (0,) * i + (u[i + 1] + 1,) + u[i + 2:]
 
 
-# Enumerated prefixes of the gralex sequence, keyed by dimension.  Lists only
-# grow (append-only), so concurrent readers are safe under the GIL.
-_SEQUENCES: dict[int, list[MultiIndex]] = {}
-
-
 def nth_multiindex(d: int, n: int) -> MultiIndex:
-    """The ``n``-th multi-index of dimension ``d`` (1-based), by iteration."""
+    """The ``n``-th multi-index of dimension ``d`` (1-based).
+
+    Exact inverse of :func:`position_of`: the weight block comes from
+    :func:`count_up_to_weight`, then coordinates are fixed from the top down
+    by skipping the blocks of same-weight indices with a smaller value there.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 1:
         raise ValueError("position must be >= 1")
-    seq = _SEQUENCES.setdefault(d, [(0,) * d])
-    while len(seq) < n:
-        seq.append(next_multiindex(seq[-1]))
-    return seq[n - 1]
+    w = 0
+    while count_up_to_weight(d, w) < n:
+        w += 1
+    rank = n - count_up_to_weight(d, w - 1) - 1
+    out = [0] * d
+    rem = w
+    for coord in range(d - 1, 0, -1):
+        t = 0
+        while True:
+            block = math.comb(rem - t + coord - 1, coord - 1)
+            if rank < block:
+                break
+            rank -= block
+            t += 1
+        out[coord] = t
+        rem -= t
+    out[0] = rem
+    return tuple(out)
 
 
 def nth_multiindex_closed2(n: int) -> MultiIndex:
@@ -256,3 +272,31 @@ def position_of(m: MonomialIndex) -> int:
             rank += math.comb(rem - t + coord - 1, coord - 1)
         rem -= u[coord]
     return count_up_to_weight(d, w - 1) + rank + 1
+
+
+def binomial_table(d: int, max_weight: int) -> np.ndarray:
+    """``table[a, b] = C(a, b)`` for ``a <= max_weight + d`` and ``b <= d``."""
+    return np.array(
+        [[math.comb(a, b) for b in range(d + 1)] for a in range(max_weight + d + 1)],
+        dtype=np.int64,
+    )
+
+
+def packed_positions(packed: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """:func:`position_of` for every row of an integer array of packed multi-indices.
+
+    With ``S`` the running sums of a row, the same-weight indices preceding
+    it number ``sum_c C(S_c + c, c) - C(S_(c-1) + c, c)`` over coordinates
+    ``c >= 1`` (the hockey-stick sum of the terms :func:`position_of` adds one
+    at a time).  ``binomials`` comes from :func:`binomial_table` with at least
+    the largest row weight.
+    """
+    d = packed.shape[1]
+    sums = np.cumsum(packed, axis=1)
+    coords = np.arange(1, d)
+    rank = np.sum(
+        binomials[sums[:, 1:] + coords, coords] - binomials[sums[:, :-1] + coords, coords],
+        axis=1,
+    )
+    # C(w - 1 + d, d) indices have weight below w (zero when w = 0).
+    return binomials[sums[:, -1] + d - 1, d] + rank + 1

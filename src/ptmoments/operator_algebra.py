@@ -9,8 +9,10 @@ bosonic identity
 
 turns every entry into a finite integer-coefficient combination of normally
 ordered moments.  Partially transposing a mode rearranges the four exponents
-of its factor to ``ad^q a^p ad^k a^l`` before the reduction; the expansion
-coefficients stay exact integers until evaluation.
+of its factor to ``ad^q a^p ad^k a^l``, which reduces to the same terms with
+that mode's creation and annihilation exponents swapped.  An
+:class:`EntryPlan` therefore compiles the untransposed terms of a whole block
+of entries once, and every cut reads them with its modes swapped.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import ExponentLimitError
-from .multiindex import MonomialIndex
+from .multiindex import MonomialIndex, binomial_table, count_up_to_weight, monomial_at
 
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
 # factorial growth would dwarf double precision instead of overflowing.
@@ -32,7 +36,7 @@ class MomentExpression:
 
     ``terms`` maps each :class:`MonomialIndex` key to its (integer or
     complex) coefficient; zero coefficients are dropped.  Instances are
-    immutable and shared by the expression cache.
+    immutable.
     """
 
     __slots__ = ("modes", "terms")
@@ -115,7 +119,9 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex, transposed,
     """Moment expression for an entry of the partially transposed problem.
 
     ``transposed`` collects the 1-based modes whose exponent quadruple is
-    rearranged from ``ad^l a^k ad^p a^q`` to ``ad^q a^p ad^k a^l``.
+    rearranged from ``ad^l a^k ad^p a^q`` to ``ad^q a^p ad^k a^l``.  That
+    rearrangement keeps every coefficient and swaps the creation and
+    annihilation exponent of the mode in each normally ordered term.
     """
     if row.modes != col.modes:
         raise ValueError(f"mode-count mismatch: {row.modes} vs {col.modes}")
@@ -123,24 +129,111 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex, transposed,
     subset = frozenset(members)
     if not subset <= set(range(1, row.modes + 1)):
         raise ValueError(f"transposed modes {sorted(subset)} not within 1..{row.modes}")
-    return _entry_expression_cached(row, col, subset, max_exponent)
-
-
-@lru_cache(maxsize=None)
-def _entry_expression_cached(row, col, subset, max_exponent):
-    n = row.modes
     # Start from the scalar 1 and take the tensor product mode by mode.
-    terms: dict[tuple, complex] = {(): 1}
-    for i in range(n):
-        k, l = row.pairs[i]
-        p, q = col.pairs[i]
-        if (i + 1) in subset:
-            factor = normal_order_single_mode(q, p, k, l, max_exponent)
-        else:
-            factor = normal_order_single_mode(l, k, p, q, max_exponent)
+    terms: dict[tuple, int] = {(): 1}
+    for mode, ((k, l), (p, q)) in enumerate(zip(row.pairs, col.pairs), start=1):
+        factor = normal_order_single_mode(l, k, p, q, max_exponent)
+        if mode in subset:
+            factor = {(l2, k2): c for (k2, l2), c in factor.items()}
         terms = {
             prefix + (pair,): coeff * c
             for prefix, coeff in terms.items()
             for pair, c in factor.items()
         }
-    return MomentExpression(n, {MonomialIndex(pairs): c for pairs, c in terms.items()})
+    return MomentExpression(row.modes, {MonomialIndex(pairs): c for pairs, c in terms.items()})
+
+
+#: largest leading block whose plan is compiled once and shared by every selection
+SHARED_PLAN_SIZE = 512
+
+
+class EntryPlan:
+    """Untransposed normally ordered terms of every entry over a list of monomials.
+
+    Entry ``(s, t)`` is ``<(row s)^dagger (row t)>`` and has id ``s * size + t``.
+    Its terms are ``coefficients[j]`` times the moment with packed key
+    ``keys[j]`` for ``offsets[id] <= j < offsets[id + 1]``.  Transposing mode
+    ``i`` swaps key columns ``2i - 2`` and ``2i - 1`` with the coefficients
+    unchanged, so one plan serves every cut.  Arrays are read-only.
+    Coefficients are float64 products of the exact per-mode integers, exact
+    while they stay below 2**53.
+    """
+
+    def __init__(self, modes: int, monomials):
+        self.size = len(monomials)
+        exponents = np.array([m.pairs for m in monomials], dtype=np.int64)
+        pairs, pair_ids = np.unique(exponents.reshape(-1, 2), axis=0, return_inverse=True)
+        pair_ids = pair_ids.reshape(self.size, modes)
+        # Per-mode factor of every (row pair, column pair) combination, flat.
+        factors = [
+            normal_order_single_mode(l, k, p, q)
+            for k, l in pairs.tolist()
+            for p, q in pairs.tolist()
+        ]
+        lengths = np.array([len(f) for f in factors])
+        starts = np.cumsum(lengths) - lengths
+        created = np.array([kl[0] for f in factors for kl in f], dtype=np.int64)
+        annihilated = np.array([kl[1] for f in factors for kl in f], dtype=np.int64)
+        weights = np.array([c for f in factors for c in f.values()], dtype=float)
+
+        entry = np.arange(self.size * self.size)
+        coefficients = np.ones(entry.size)
+        columns: list[np.ndarray] = []
+        for i in range(modes):
+            combo = (pair_ids[entry // self.size, i] * len(pairs)
+                     + pair_ids[entry % self.size, i])
+            counts = lengths[combo]
+            parent = np.repeat(np.arange(entry.size), counts)
+            within = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            factor = starts[combo][parent] + within
+            entry = entry[parent]
+            coefficients = coefficients[parent] * weights[factor]
+            columns = [c[parent] for c in columns] + [annihilated[factor], created[factor]]
+        self.coefficients = coefficients
+        self.keys = np.stack(columns, axis=1)
+        self.offsets = np.searchsorted(entry, np.arange(self.size * self.size + 1))
+        self.binomials = binomial_table(2 * modes, int(self.keys.sum(axis=1).max()))
+        for array in (self.coefficients, self.keys, self.offsets, self.binomials):
+            array.setflags(write=False)
+        self._monomials: dict[int, MonomialIndex] = {}
+
+    def select(self, rows: np.ndarray):
+        """Terms of the sub-block on ``rows`` (0-based), grouped by sub-block entry.
+
+        Returns ``(entry, coefficients, keys)`` with entry ids ``s * len(rows) + t``.
+        """
+        ids = (rows[:, None] * self.size + rows[None, :]).ravel()
+        first = self.offsets[ids]
+        counts = self.offsets[ids + 1] - first
+        ends = np.cumsum(counts)
+        terms = np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
+        entry = np.repeat(np.arange(ids.size), counts)
+        return entry, self.coefficients[terms], self.keys[terms]
+
+    def monomial(self, position: int, packed) -> MonomialIndex:
+        """Key object for ``position`` given its packed exponents, memoized."""
+        key = self._monomials.get(position)
+        if key is None:
+            key = self._monomials[position] = MonomialIndex.unpack(tuple(packed.tolist()))
+        return key
+
+
+def plan_for(modes: int, positions) -> tuple[EntryPlan, np.ndarray]:
+    """Plan covering the 1-based ``positions`` and the plan rows they occupy.
+
+    The plan for a weight cap is the leading block of every monomial up to
+    that weight, compiled once and shared, while that block stays within
+    ``SHARED_PLAN_SIZE`` and ``MAX_EXPONENT``; past either bound only the
+    selected monomials are compiled.
+    """
+    cap = monomial_at(modes, positions[-1]).weight
+    if cap <= MAX_EXPONENT and count_up_to_weight(2 * modes, cap) <= SHARED_PLAN_SIZE:
+        return _shared_plan(modes, cap), np.asarray(positions) - 1
+    monomials = [monomial_at(modes, p) for p in positions]
+    return EntryPlan(modes, monomials), np.arange(len(positions))
+
+
+@lru_cache(maxsize=8)
+def _shared_plan(modes: int, cap: int) -> EntryPlan:
+    size = count_up_to_weight(2 * modes, cap)
+    return EntryPlan(modes, [monomial_at(modes, p) for p in range(1, size + 1)])

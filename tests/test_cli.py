@@ -307,6 +307,22 @@ class TestCertify:
         assert report["certificate"] is True
         assert report["excluded_decompositions"] == ["{1|2}"]
 
+    def test_non_finite_table_entry_named(self, tmp_path):
+        path = write_table(
+            tmp_path,
+            "tmsv4.json",
+            ["moments-gen", "--state", "tmsv", "--r", "0.6", "--order", "4"],
+        )
+        doc = json.loads(path.read_text())
+        assert doc["entries"][0]["k"] == [0, 0] and doc["entries"][0]["l"] == [0, 0]
+        doc["entries"][0]["re"] = math.nan
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["certify", "--moments", str(path)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "k=[0, 0], l=[0, 0] is not finite" in err
+        assert "Traceback" not in err
+
     def test_moments_and_state_mutually_exclusive(self, tmp_path):
         path = write_table(
             tmp_path,

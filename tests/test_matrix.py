@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import padded_random_state
 from ptmoments import (
     CoherentProductMoments,
+    FockStateMoments,
     MomentDataError,
     MomentMatrix,
     MomentProvider,
@@ -21,13 +23,16 @@ from ptmoments import (
     WStateMoments,
     WStateParams,
     build_matrix,
+    canonical_bipartitions,
     determinant,
     eigen_negativity_scan,
+    entry_expression_pt,
     load_moment_table,
     min_principal_minor,
     moment_table_to_json,
     named_minor,
     negativity_threshold,
+    position_of,
     principal_minor,
     table_from_provider,
     TableMoments,
@@ -126,11 +131,78 @@ class TestBuildMatrix:
         labels = {str(k) for k in info.value.missing}
         assert labels == {"a1", "ad1", "a1^2", "ad1 a1", "ad1^2"}
 
+    def test_missing_key_reported_for_the_cut_that_needs_it(self):
+        # Over rows {a1, a2 a3}, the off-diagonal entries give each cut its
+        # own weight-3 keys: ad3 a1 a2 is needed under {2} and {1,3} alone.
+        prov = WStateMoments(WStateParams((0.4, 0.3, 0.35), (0.0, 0.01, 0.0)))
+        table = table_from_provider(prov, order=4)
+        lacking = MonomialIndex.from_ops(3, creation=(3,), annihilation=(1, 2))
+        del table.entries[lacking]
+        selection = Selection.of(2, position_of(MonomialIndex.parse("a2 a3", 3)))
+        for cut in canonical_bipartitions(3):
+            for transposed in (cut, cut.complement()):
+                if transposed.members in ({2}, {1, 3}):
+                    with pytest.raises(UnresolvedMomentsError) as info:
+                        build_matrix(TableMoments(table), transposed, selection)
+                    assert info.value.missing == [lacking]
+                else:
+                    build_matrix(TableMoments(table), transposed, selection)
+
     def test_eigenvalues_sorted_real(self):
         matrix = build_matrix(TmsvMoments(0.4), (1,), Selection.leading(5))
         eigs = matrix.eigenvalues()
         assert np.all(np.diff(eigs) >= 0)
         assert eigs.dtype.kind == "f"
+
+
+class TestPlanEquivalence:
+    """build_matrix against entries evaluated one by one from entry_expression_pt."""
+
+    @staticmethod
+    def reference(provider, transposed, selection):
+        monomials = selection.monomials(provider.modes)
+        values = np.array(
+            [
+                [entry_expression_pt(row, col, transposed).evaluate(provider) for col in monomials]
+                for row in monomials
+            ],
+            dtype=complex,
+        )
+        return (values + values.conj().T) / 2.0
+
+    def test_random_selections_under_every_cut(self):
+        rng = np.random.default_rng(2718)
+        vec, cutoffs = padded_random_state(rng, (3, 2, 2))
+        noisy = WStateMoments(WStateParams((0.35, 0.2 + 0.15j, 0.4), (0.0, 0.05, 0.02)))
+        providers = [
+            FockStateMoments(vec, cutoffs),
+            noisy,
+            TmsvMoments(0.6),
+            TableMoments(table_from_provider(noisy, order=4)),
+        ]
+        for prov in providers:
+            n = prov.modes
+            top = len(Selection.up_to_weight(n, 2))
+            selections = [Selection.leading(top)] + [
+                Selection.of(*(1 + rng.choice(top, size=int(rng.integers(1, 9)), replace=False)))
+                for _ in range(4)
+            ]
+            for cut in canonical_bipartitions(n):
+                for transposed in (cut, cut.complement()):
+                    for selection in selections:
+                        got = build_matrix(prov, transposed, selection).values
+                        want = self.reference(prov, transposed, selection)
+                        scale = np.max(np.abs(want))
+                        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_selection_beyond_the_shared_plan(self):
+        # Far positions are compiled for the selected monomials only.
+        prov = CoherentProductMoments((0.3 + 0.1j, -0.2j))
+        selection = Selection.of(1, 3, 700, 714)
+        transposed = TranspositionSet.of(2, 2)
+        got = build_matrix(prov, transposed, selection).values
+        want = self.reference(prov, transposed, selection)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDeterminant:

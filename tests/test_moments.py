@@ -388,6 +388,17 @@ class TestMomentTable:
         ok = self.doc([self.entry([0], [0], re=1.0005)], tolerance=1e-2)
         assert load_moment_table(ok).entries[MonomialIndex.identity(1)] == 1.0005
 
+    def test_non_finite_values_rejected(self):
+        # abs(nan - 1) > tol is False, so a NaN identity needs its own check.
+        nan_identity = self.doc([self.entry([0], [0], re=math.nan)])
+        with pytest.raises(MomentDataError, match=r"k=\[0\], l=\[0\] is not finite"):
+            load_moment_table(nan_identity)
+        inf_entry = self.doc(
+            [self.entry([0], [0], re=1.0), self.entry([1], [0], im=math.inf)]
+        )
+        with pytest.raises(MomentDataError, match=r"k=\[1\], l=\[0\] is not finite"):
+            load_moment_table(inf_entry)
+
     def test_hermitian_partner_checked(self):
         text = self.doc(
             [

@@ -16,6 +16,7 @@ from ptmoments import (
     position_of,
     weight,
 )
+from ptmoments.multiindex import binomial_table, packed_positions
 
 
 class TestCompare:
@@ -167,6 +168,23 @@ class TestMonomialIndex:
         for d in (1, 2, 3, 5):
             for p in range(1, 201):
                 assert position_of(monomial_at(d, p)) == p
+
+    def test_far_position_roundtrip(self):
+        # Unranking is closed form, so a far position needs no walk through
+        # its predecessors.
+        m = monomial_at(4, 400_000)
+        assert position_of(m) == 400_000
+        assert position_of(monomial_at(4, 399_999)) == 399_999
+
+    def test_packed_positions_match_position_of(self):
+        for modes, max_weight in ((1, 6), (3, 4)):
+            d = 2 * modes
+            total = count_up_to_weight(d, max_weight)
+            packed = np.array([monomial_at(modes, p).pack() for p in range(1, total + 1)])
+            rng = np.random.default_rng(modes)
+            order = rng.permutation(total)
+            got = packed_positions(packed[order], binomial_table(d, max_weight))
+            assert got.tolist() == (order + 1).tolist()
 
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(11)
