@@ -14,20 +14,23 @@ Run:  python demos/02_normal_ordering.py
 from ptmoments import (
     CoherentProductMoments,
     MonomialIndex,
-    entry_expression,
     entry_expression_pt,
     normal_order_single_mode,
 )
 
 
-def show(expression):
+def show(terms):
     parts = []
-    for key in sorted(expression.terms, key=str):
-        coeff = expression.terms[key]
+    for key in sorted(terms, key=str):
+        coeff = terms[key]
         text = f"{coeff.real:g}" if coeff.imag == 0 else f"({coeff:g})"
         label = str(key)
         parts.append(text if label == "1" else f"{text} <{label}>")
     return "  +  ".join(parts)
+
+
+def evaluate(terms, provider):
+    return sum(coeff * provider.moment(key) for key, coeff in terms.items())
 
 
 def main():
@@ -41,7 +44,7 @@ def main():
 
     print()
     row = MonomialIndex.parse("ad1 a2", 2)
-    expr = entry_expression(row, row)
+    expr = entry_expression_pt(row, row)
     print(f"Diagonal entry at {str(row)!r} — the a1 ad1 product in the middle")
     print("commutes into two terms:")
     print(f"  {show(expr)}")
@@ -49,7 +52,7 @@ def main():
     print()
     a1 = MonomialIndex.parse("a1", 2)
     a2 = MonomialIndex.parse("a2", 2)
-    plain = entry_expression(a1, a2)
+    plain = entry_expression_pt(a1, a2)
     swapped = entry_expression_pt(a1, a2, (2,))
     print("Off-diagonal entry at row a1, column a2:")
     print(f"  without transposition:      {show(plain)}")
@@ -59,7 +62,7 @@ def main():
 
     print()
     both = entry_expression_pt(a1, a2, (1, 2))
-    mirrored = entry_expression(a2, a1)
+    mirrored = entry_expression_pt(a2, a1)
     print("Transposing every mode is a full transpose, so the entry moves")
     print(f"to the mirrored position:  identity holds -> {both == mirrored}")
 
@@ -67,8 +70,8 @@ def main():
     print("Expressions evaluate against any moment provider.  On a coherent")
     print("product state each moment factorizes into the amplitudes:")
     provider = CoherentProductMoments((0.5 + 0.2j, -0.3j))
-    print(f"  diagonal entry on |0.5+0.2i> x |-0.3i>:  {expr.evaluate(provider):.6f}")
-    print(f"  transposed off-diagonal on the same:     {swapped.evaluate(provider):.6f}")
+    print(f"  diagonal entry on |0.5+0.2i> x |-0.3i>:  {evaluate(expr, provider):.6f}")
+    print(f"  transposed off-diagonal on the same:     {evaluate(swapped, provider):.6f}")
 
 
 if __name__ == "__main__":

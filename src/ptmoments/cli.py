@@ -25,7 +25,6 @@ from .certify import (
     four_mode_pair_groups,
     sweep,
     sweep_to_csv,
-    test_bipartition,
 )
 from .errors import (
     MomentDataError,
@@ -45,7 +44,6 @@ from .moments import (
     table_from_provider,
 )
 from .multiindex import MonomialIndex, nth_multiindex, position_of
-from .transpositions import canonical_bipartitions
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,28 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--tol", type=float, default=None,
                      help="tolerance recorded in the table (default 1e-9)")
     _add_common_options(gen)
-    gen.set_defaults(func=_cmd_moments_gen, _allowed=frozenset({
-        "state", "gamma", "modes", "alpha", "nbar", "r", "fock_file", "cutoffs",
-        "order", "tol", "out",
-    }))
+    gen.set_defaults(func=_cmd_moments_gen)
 
     scan = commands.add_parser("scan", help="search a moment table for negative minors")
     scan.add_argument("--moments", default=None, help="moment table JSON path")
     _add_budget_options(scan)
     _add_common_options(scan)
-    scan.set_defaults(func=_cmd_scan, _allowed=frozenset({
-        "moments", "order", "max_minor_size", "strategy", "tol", "out",
-    }))
+    scan.set_defaults(func=_cmd_scan)
 
     cert = commands.add_parser("certify", help="full-entanglement certificate")
     cert.add_argument("--moments", default=None, help="moment table JSON path")
     _add_state_options(cert)
     _add_budget_options(cert)
     _add_common_options(cert)
-    cert.set_defaults(func=_cmd_certify, _allowed=frozenset({
-        "moments", "state", "gamma", "modes", "alpha", "nbar", "r", "fock_file",
-        "cutoffs", "order", "max_minor_size", "strategy", "tol", "out",
-    }))
+    cert.set_defaults(func=_cmd_certify)
 
     fig = commands.add_parser("figure1", help="noise sweep of the four-mode pair minors")
     fig.add_argument("--alpha-max", type=float, default=None,
@@ -129,20 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--nbars", type=str, default=None,
                      help="comma-separated noise levels (default 0,0.01,0.05)")
     _add_common_options(fig)
-    fig.set_defaults(func=_cmd_figure1, _allowed=frozenset({
-        "alpha_max", "alpha_steps", "alphas", "nbars", "out",
-    }))
+    fig.set_defaults(func=_cmd_figure1)
 
     index = commands.add_parser("index", help="monomial ordering utilities")
     index_sub = index.add_subparsers(dest="index_command", required=True)
     nth = index_sub.add_parser("nth", help="n-th multiindex in the graded order")
     nth.add_argument("dimension", type=int)
     nth.add_argument("position", type=int)
-    nth.set_defaults(func=_cmd_index_nth, _allowed=frozenset())
+    nth.set_defaults(func=_cmd_index_nth)
     of = index_sub.add_parser("of", help="position of a monomial such as 'a1 a2'")
     of.add_argument("monomial", type=str)
     of.add_argument("--modes", type=int, required=True)
-    of.set_defaults(func=_cmd_index_of, _allowed=frozenset())
+    of.set_defaults(func=_cmd_index_of)
 
     return parser
 
@@ -194,7 +182,7 @@ def _apply_config(args) -> None:
             raise MomentDataError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise MomentDataError("config must be a JSON object")
-    allowed = args._allowed
+    allowed = set(vars(args)) - {"command", "func", "config"}
     unknown = {key for key in config if key.replace("-", "_") not in allowed}
     if unknown:
         raise MomentDataError(f"unknown config keys: {sorted(unknown)}")
@@ -294,16 +282,13 @@ def _cmd_scan(args) -> int:
     table, provider = _table_provider(args)
     budget = _budget_from_args(args, default_order=_clamped_order(args, table))
     tol = float(_get(args, "tol", 1e-9))
-    findings, inconclusive = [], []
-    cuts = canonical_bipartitions(table.modes) if table.modes >= 2 else []
-    for cut in cuts:
-        outcome = test_bipartition(provider, cut, budget, tol=tol)
-        (findings if outcome.npt else inconclusive).append(outcome)
+    outcomes = certify_full(provider, budget, tol=tol).outcomes if table.modes >= 2 else ()
+    findings = [o.minor.as_dict() for o in outcomes if o.npt]
     report = {
         "modes": table.modes,
         "budget": budget.as_dict(),
-        "findings": [outcome.minor.as_dict() for outcome in findings],
-        "inconclusive": [sorted(o.transposition.members) for o in inconclusive],
+        "findings": findings,
+        "inconclusive": [sorted(o.transposition.members) for o in outcomes if not o.npt],
         "note": "inconclusive sets mean no negativity within this budget, "
                 "not separability",
     }

@@ -156,7 +156,7 @@ def build_matrix(provider, transposed, selection: Selection, *,
             missing.append(key)
     if missing:
         raise UnresolvedMomentsError(missing)
-    # Sum every entry's terms in position order, as MomentExpression.evaluate does.
+    # Sum every entry's terms in position order, which keeps matrices bitwise stable.
     order = np.argsort(entry * (int(unique[-1]) + 1) + positions)
     terms = coefficients[order] * moments[inverse[order]]
     n = len(selection)
@@ -234,8 +234,10 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
 
     The matrix over all monomials of weight at most ``max_order`` is
     diagonalized; if the minimum eigenvalue is below ``-tol``, a compact
-    negative principal minor is extracted from the dominant eigenvector by a
-    prefix-then-greedy-shrink search capped at ``max_minor_size``.  The minor
+    negative principal minor is sought along the eigenvector's weight order:
+    each prefix is extended by its most negative Schur-complement column,
+    and the first negative extension, of at most ``max_minor_size`` rows, is
+    greedily shrunk.  With no such extension the witness is None.  The minor
     returned is rebuilt from scratch, so it is independently checkable.
     """
     if max_order < 1:
@@ -265,45 +267,29 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
 
 def _extract_witness(values: np.ndarray, order: list[int],
                      max_minor_size: int) -> tuple[int, ...] | None:
-    """Indices of a small negative principal minor, or None if none found."""
-    limit = min(len(order), max_minor_size)
-    for k in range(1, limit + 1):
-        prefix = tuple(order[:k])
-        if _subdet(values, prefix) < -_subthreshold(values, prefix):
-            return _greedy_shrink(values, prefix)
-        if k < limit:
-            extra = _best_schur_augmentation(values, prefix)
-            if extra is not None:
-                candidate = prefix + (extra,)
-                if _subdet(values, candidate) < -_subthreshold(values, candidate):
-                    return _greedy_shrink(values, candidate)
-    # fall back to small subsets of the best-supported positions
-    pool = order[: min(len(order), max(12, max_minor_size))]
-    for k in range(1, limit + 1):
-        for combo in itertools.combinations(pool, k):
-            if _subdet(values, combo) < -_subthreshold(values, combo):
-                return _greedy_shrink(values, combo)
-    return None
+    """Indices of a small negative principal minor, or None if none found.
 
-
-def _best_schur_augmentation(values: np.ndarray, prefix) -> int | None:
-    """Column whose Schur complement against the prefix block is most negative.
-
-    With det(prefix) positive, appending a column of negative Schur scalar
-    flips the determinant sign; this catches witnesses that need one anchor
-    row carrying little eigenvector weight (typically the identity row).
+    Each prefix of ``order``, the empty one first, is extended by the column
+    whose Schur complement against the prefix block is most negative: with a
+    positive prefix determinant that flips the sign, and it picks up anchor
+    rows carrying little eigenvector weight (typically the identity row).
+    The first extension whose determinant is below the threshold is shrunk.
     """
-    idx = np.asarray(prefix)
-    block = values[np.ix_(idx, idx)]
-    rows = values[idx, :]
-    try:
-        solved = np.linalg.solve(block, rows)
-    except np.linalg.LinAlgError:
-        return None
-    schur = np.real(np.diagonal(values)) - np.real(np.sum(rows.conj() * solved, axis=0))
-    schur[idx] = np.inf
-    best = int(np.argmin(schur))
-    return best if schur[best] < 0.0 else None
+    diagonal = np.real(np.diagonal(values))
+    for k in range(min(len(order), max_minor_size)):
+        prefix = np.array(order[:k], dtype=int)
+        rows = values[prefix, :]
+        try:
+            solved = np.linalg.solve(values[np.ix_(prefix, prefix)], rows)
+        except np.linalg.LinAlgError:
+            continue
+        schur = diagonal - np.real(np.sum(rows.conj() * solved, axis=0))
+        schur[prefix] = np.inf
+        best = int(np.argmin(schur))
+        candidate = tuple(order[:k]) + (best,)
+        if schur[best] < 0.0 and _subdet(values, candidate) < -_subthreshold(values, candidate):
+            return _greedy_shrink(values, candidate)
+    return None
 
 
 def _greedy_shrink(values: np.ndarray, indices: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import json
 import math
 import string
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,9 +178,12 @@ class WStateMoments(MomentProvider):
                 + ")"
             )
 
+    @cached_property
+    def _norm(self) -> complex:
+        return self._unnormalized(MonomialIndex.identity(self.modes))
+
     def _compute(self, key):
-        norm = self._unnormalized(MonomialIndex.identity(self.modes))
-        return self._unnormalized(key) / norm
+        return self._unnormalized(key) / self._norm
 
     def _unnormalized(self, key):
         n = self.modes

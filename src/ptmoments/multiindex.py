@@ -26,46 +26,6 @@ def weight(u: MultiIndex) -> int:
     return sum(u)
 
 
-def _check_entries(u) -> None:
-    if len(u) < 1:
-        raise ValueError("multi-index must have dimension >= 1")
-    if any((not isinstance(x, int)) or x < 0 for x in u):
-        raise ValueError(f"multi-index entries must be nonnegative integers: {u}")
-
-
-def compare_gralex(u: MultiIndex, v: MultiIndex) -> int:
-    """Compare two multi-indices in gralex order; returns -1, 0 or +1.
-
-    ``u`` precedes ``v`` when its weight is smaller, or on equal weight when
-    the last nonzero entry of ``v - u`` is positive.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    wu, wv = sum(u), sum(v)
-    if wu != wv:
-        return -1 if wu < wv else 1
-    for a, b in zip(reversed(u), reversed(v)):
-        if a != b:
-            return -1 if b > a else 1
-    return 0
-
-
-def next_multiindex(u: MultiIndex) -> MultiIndex:
-    """Successor of ``u`` in gralex order.
-
-    Locates the first nonzero entry ``u_i``; if only the last entry is
-    nonzero (or all are zero) the weight increases and everything moves back
-    to the first coordinate, otherwise one unit is carried from ``u_i`` to
-    ``u_{i+1}``.
-    """
-    _check_entries(u)
-    d = len(u)
-    i = next((j for j, x in enumerate(u) if x != 0), d - 1)
-    if i == d - 1:
-        return (u[-1] + 1,) + (0,) * (d - 1)
-    return (u[i] - 1,) + (0,) * i + (u[i + 1] + 1,) + u[i + 2:]
-
-
 def nth_multiindex(d: int, n: int) -> MultiIndex:
     """The ``n``-th multi-index of dimension ``d`` (1-based).
 
@@ -95,31 +55,6 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
         rem -= t
     out[0] = rem
     return tuple(out)
-
-
-def nth_multiindex_closed2(n: int) -> MultiIndex:
-    """Closed form for the ``n``-th two-dimensional multi-index.
-
-    Uses ``N = ceil((sqrt(8n+1)-3)/2)`` evaluated in exact integer
-    arithmetic: ``8n+1`` is tested for being a perfect square so triangular
-    boundaries never suffer floating-point rounding.
-    """
-    if n < 1:
-        raise ValueError("position must be >= 1")
-    m = 8 * n + 1
-    s = math.isqrt(m)
-    if s * s == m:
-        # 8n+1 odd => s odd => (s - 3) even.
-        big_n = (s - 3) // 2
-    else:
-        # smallest N with (2N+3)^2 >= m
-        big_n = max(0, (s - 3) // 2)
-        while (2 * big_n + 3) ** 2 < m:
-            big_n += 1
-    return (
-        (big_n + 1) * (big_n + 2) // 2 - n,
-        n - big_n * (big_n + 1) // 2 - 1,
-    )
 
 
 def count_up_to_weight(d: int, w: int) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from types import MappingProxyType
 
 import numpy as np
 
@@ -29,56 +28,6 @@ from .multiindex import MonomialIndex, binomial_table, count_up_to_weight, monom
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
 # factorial growth would dwarf double precision instead of overflowing.
 MAX_EXPONENT = 8
-
-
-class MomentExpression:
-    """Finite linear combination of normally ordered moment keys.
-
-    ``terms`` maps each :class:`MonomialIndex` key to its (integer or
-    complex) coefficient; zero coefficients are dropped.  Instances are
-    immutable.
-    """
-
-    __slots__ = ("modes", "terms")
-
-    def __init__(self, modes: int, terms):
-        cleaned = {m: c for m, c in dict(terms).items() if c != 0}
-        for m in cleaned:
-            if m.modes != modes:
-                raise ValueError(f"term {m} has {m.modes} modes, expected {modes}")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "terms", MappingProxyType(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MomentExpression is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MomentExpression):
-            return NotImplemented
-        return self.modes == other.modes and dict(self.terms) == dict(other.terms)
-
-    def __hash__(self):
-        return hash((self.modes, frozenset(self.terms.items())))
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*<{m}>" for m, c in self.sorted_terms())
-        return f"MomentExpression({body or '0'})"
-
-    def sorted_terms(self):
-        """Terms ordered by the moment sequence position (deterministic)."""
-        from .multiindex import position_of
-
-        return sorted(self.terms.items(), key=lambda item: position_of(item[0]))
-
-    def evaluate(self, provider) -> complex:
-        """Sum of coefficient times ``provider.moment(key)`` over all terms."""
-        return sum(c * provider.moment(m) for m, c in self.sorted_terms())
-
-    def max_weight(self) -> int:
-        return max((m.weight for m in self.terms), default=0)
 
 
 def _check_exponents(exps, max_exponent):
@@ -108,20 +57,16 @@ def normal_order_single_mode(l: int, k: int, p: int, q: int,
     return out
 
 
-def entry_expression(row: MonomialIndex, col: MonomialIndex,
-                     max_exponent: int | None = None) -> MomentExpression:
-    """Moment expression for an untransposed matrix entry."""
-    return entry_expression_pt(row, col, frozenset(), max_exponent)
+def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
+                        transposed=()) -> dict[MonomialIndex, int]:
+    """Normally ordered terms ``{key: coefficient}`` of one matrix entry.
 
-
-def entry_expression_pt(row: MonomialIndex, col: MonomialIndex, transposed,
-                        max_exponent: int | None = None) -> MomentExpression:
-    """Moment expression for an entry of the partially transposed problem.
-
-    ``transposed`` collects the 1-based modes whose exponent quadruple is
+    The entry is ``<(row)^dagger (col)>`` on the state partially transposed
+    in the 1-based modes ``transposed``, whose exponent quadruple is
     rearranged from ``ad^l a^k ad^p a^q`` to ``ad^q a^p ad^k a^l``.  That
     rearrangement keeps every coefficient and swaps the creation and
-    annihilation exponent of the mode in each normally ordered term.
+    annihilation exponent of the mode in each normally ordered term.  This
+    per-entry form is the reference that :class:`EntryPlan` reproduces.
     """
     if row.modes != col.modes:
         raise ValueError(f"mode-count mismatch: {row.modes} vs {col.modes}")
@@ -132,7 +77,7 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex, transposed,
     # Start from the scalar 1 and take the tensor product mode by mode.
     terms: dict[tuple, int] = {(): 1}
     for mode, ((k, l), (p, q)) in enumerate(zip(row.pairs, col.pairs), start=1):
-        factor = normal_order_single_mode(l, k, p, q, max_exponent)
+        factor = normal_order_single_mode(l, k, p, q)
         if mode in subset:
             factor = {(l2, k2): c for (k2, l2), c in factor.items()}
         terms = {
@@ -140,7 +85,7 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex, transposed,
             for prefix, coeff in terms.items()
             for pair, c in factor.items()
         }
-    return MomentExpression(row.modes, {MonomialIndex(pairs): c for pairs, c in terms.items()})
+    return {MonomialIndex(pairs): c for pairs, c in terms.items()}
 
 
 #: largest leading block whose plan is compiled once and shared by every selection

@@ -74,6 +74,11 @@ def direct_moment(rho, cutoffs, key):
     return direct_pt_entry(rho, cutoffs, MonomialIndex.identity(len(cutoffs)), key, ())
 
 
+def evaluate_terms(terms, provider):
+    """Value of a ``{moment key: coefficient}`` dict on a moment provider."""
+    return sum(c * provider.moment(key) for key, c in terms.items())
+
+
 def density_of(vector):
     return np.outer(vector, vector.conj())
 

@@ -34,6 +34,7 @@ import pytest
 from conftest import (
     density_of,
     direct_pt_entry,
+    evaluate_terms,
     padded_random_state,
     random_monomial,
     tmsv_vector,
@@ -143,7 +144,7 @@ def test_transposed_entries_match_direct_traces_on_random_states():
             col = random_monomial(rng, modes, max_weight=3)
             members = {m for m in range(1, modes + 1) if rng.random() < 0.5}
             transposed = TranspositionSet(modes, members)
-            entry = entry_expression_pt(row, col, transposed).evaluate(provider)
+            entry = evaluate_terms(entry_expression_pt(row, col, transposed), provider)
             direct = direct_pt_entry(rho, cutoffs, row, col, members)
             assert entry == pytest.approx(direct, abs=1e-8 * max(1.0, abs(direct)))
             checked += 1

@@ -15,7 +15,9 @@ from ptmoments import (
     WStateMoments,
     WStateParams,
     all_decompositions,
+    canonical_bipartitions,
     certify_full,
+    eigen_negativity_scan,
     fock_tmsv_state,
     four_mode_pair_groups,
     named_minor,
@@ -138,6 +140,22 @@ class TestCertifyFull:
         assert all(o.verdict == "inconclusive" for o in report.outcomes)
         assert report.excluded == ()
         assert "separability" in report.note
+
+    def test_negative_eigenvalues_without_witness_refused(self):
+        # At |alpha| = 0.1, nbar = 0.035 every cut's scan matrix has a clearly
+        # negative eigenvalue, but no Schur extension of an eigenvector prefix
+        # of at most six rows has a negative determinant.
+        prov = wstate(0.1, nbar=0.035)
+        for cut in canonical_bipartitions(4):
+            scan = eigen_negativity_scan(prov, cut, max_order=2)
+            assert scan.min_eigenvalue < -1e-4
+            assert scan.witness is None
+        report = certify_full(prov)
+        assert not report.certificate
+        assert report.excluded == ()
+        for outcome in report.outcomes:
+            assert outcome.verdict == "inconclusive"
+            assert outcome.min_eigenvalue < -1e-4
 
     def test_two_mode_squeezing_certified(self):
         report = certify_full(TmsvMoments(0.2))

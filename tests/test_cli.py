@@ -24,6 +24,8 @@ from ptmoments.cli import (
     EXIT_NO_NEGATIVITY,
     EXIT_OK,
     EXIT_USAGE,
+    _apply_config,
+    build_parser,
     main,
     parse_complex,
 )
@@ -429,6 +431,24 @@ class TestConfigFile:
         code, out, err = invoke(["moments-gen", "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "bogus" in err
+
+    @pytest.mark.parametrize("command", ["moments-gen", "scan", "certify", "figure1"])
+    def test_every_long_flag_is_a_config_key(self, tmp_path, command):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        keys = [
+            option[2:]
+            for action in commands.choices[command]._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--help", "--config")
+        ]
+        assert "out" in keys
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(keys)))
+        _apply_config(build_parser().parse_args([command, "--config", str(cfg)]))
+        cfg.write_text(json.dumps({"config": str(cfg)}))
+        code, out, err = invoke([command, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['config']" in err
 
     def test_non_object_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

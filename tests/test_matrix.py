@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import padded_random_state
+from conftest import evaluate_terms, padded_random_state
 from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
@@ -163,7 +163,8 @@ class TestPlanEquivalence:
         monomials = selection.monomials(provider.modes)
         values = np.array(
             [
-                [entry_expression_pt(row, col, transposed).evaluate(provider) for col in monomials]
+                [evaluate_terms(entry_expression_pt(row, col, transposed), provider)
+                 for col in monomials]
                 for row in monomials
             ],
             dtype=complex,
@@ -343,6 +344,19 @@ class TestEigenScan:
         b = eigen_negativity_scan(prov, (1,), max_order=2)
         assert a.witness == b.witness
         assert a.min_eigenvalue == b.min_eigenvalue
+
+    def test_negative_diagonal_gives_size_one_witness(self):
+        class NegativeNumber(MomentProvider):
+            # Unphysical data: <ad1 a1> = -0.5, every other moment of vacuum.
+            def _compute(self, key):
+                if key.is_identity():
+                    return 1.0
+                return -0.5 if key == idx((1, 1), (0, 0)) else 0.0
+
+        result = eigen_negativity_scan(NegativeNumber(2), (2,), max_order=1, max_minor_size=1)
+        assert result.witness == Selection.of(2)
+        assert result.minor.determinant == pytest.approx(-0.5)
+        assert result.negative
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -167,6 +167,24 @@ class TestWStateNoiseless:
         prov = WStateMoments(WStateParams.symmetric(4, 0.3, 0.02))
         assert prov.moment(MonomialIndex.identity(4)) == pytest.approx(1.0)
 
+    def test_normalization_computed_once(self, monkeypatch):
+        prov = WStateMoments(WStateParams.symmetric(3, 0.3 + 0.1j, 0.02))
+        unnormalized = prov._unnormalized
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return unnormalized(key)
+
+        monkeypatch.setattr(prov, "_unnormalized", counting)
+        keys = [monomial_at(3, p) for p in range(1, 40)]
+        for key in keys + keys:
+            prov.moment(key)
+        assert len(calls) == len(keys) + 1
+        norm = unnormalized(MonomialIndex.identity(3))
+        for key in keys:
+            assert prov.moment(key) == complex(unnormalized(key) / norm)
+
 
 class TestWStateNoisy:
     def test_matches_grid_integrated_density(self):
