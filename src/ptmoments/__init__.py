@@ -32,7 +32,6 @@ from .matrix import (
     build_matrix,
     determinant,
     eigen_negativity_scan,
-    min_principal_minor,
     named_minor,
     negativity_threshold,
     principal_minor,
@@ -40,21 +39,14 @@ from .matrix import (
 from .moments import (
     CoherentProductMoments,
     FockStateMoments,
-    MomentKey,
     MomentProvider,
     MomentTable,
     TableMoments,
     TmsvMoments,
     WStateMoments,
     WStateParams,
-    auto_cutoff,
-    destroy,
-    fock_coherent_state,
-    fock_tmsv_state,
-    fock_wstate,
     load_moment_table,
     moment_table_to_json,
-    partial_transpose,
     table_from_provider,
 )
 from .multiindex import (
@@ -75,8 +67,6 @@ from .transpositions import (
     all_decompositions,
     bipartitions_coarsening,
     canonical_bipartitions,
-    compose,
-    refines,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +80,6 @@ __all__ = [
     "FockStateMoments",
     "MinorResult",
     "MomentDataError",
-    "MomentKey",
     "MomentMatrix",
     "MomentProvider",
     "MomentTable",
@@ -109,33 +98,24 @@ __all__ = [
     "WStateMoments",
     "WStateParams",
     "all_decompositions",
-    "auto_cutoff",
     "bipartitions_coarsening",
     "build_matrix",
     "canonical_bipartitions",
     "certify_full",
-    "compose",
     "count_up_to_weight",
-    "destroy",
     "determinant",
     "eigen_negativity_scan",
     "entry_expression_pt",
-    "fock_coherent_state",
-    "fock_tmsv_state",
-    "fock_wstate",
     "four_mode_pair_groups",
     "load_moment_table",
-    "min_principal_minor",
     "moment_table_to_json",
     "monomial_at",
     "named_minor",
     "negativity_threshold",
     "normal_order_single_mode",
     "nth_multiindex",
-    "partial_transpose",
     "position_of",
     "principal_minor",
-    "refines",
     "sweep",
     "sweep_to_csv",
     "table_from_provider",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .matrix import MinorResult, eigen_negativity_scan, named_minor
+from .matrix import MinorResult, _as_transposition, eigen_negativity_scan, named_minor
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -111,11 +111,7 @@ def test_bipartition(provider, transposed, budget: SearchBudget | None = None, *
                      tol: float = 1e-9) -> BipartitionOutcome:
     """Search one transposition set for a negative principal minor."""
     budget = budget or SearchBudget()
-    transposed = (
-        transposed
-        if isinstance(transposed, TranspositionSet)
-        else TranspositionSet.of(provider.modes, *transposed)
-    )
+    transposed = _as_transposition(transposed, provider.modes)
     min_eigenvalue = None
     if budget.strategy in ("eigen-scan", "both"):
         scan = eigen_negativity_scan(
@@ -126,7 +122,7 @@ def test_bipartition(provider, transposed, budget: SearchBudget | None = None, *
             max_minor_size=budget.max_minor_size,
         )
         min_eigenvalue = scan.min_eigenvalue
-        if scan.minor is not None and scan.minor.negative:
+        if scan.negative:
             return BipartitionOutcome(transposed, "NPT", scan.minor, min_eigenvalue)
     if budget.strategy in ("named-minors", "both") and budget.max_minor_size >= 2:
         for pairs in _pair_combinations(provider.modes):

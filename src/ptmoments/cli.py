@@ -369,7 +369,8 @@ def main(argv=None) -> int:
         missing = ", ".join(str(key) for key in exc.missing)
         print(f"error: moments unresolved for keys: {missing}", file=sys.stderr)
         return EXIT_MISSING_MOMENTS
-    except (MomentDataError, TruncationError, ResourceLimitError, ValueError) as exc:
+    except (MomentDataError, TruncationError, ResourceLimitError, ValueError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -9,9 +9,7 @@ matrix rules out separability across the corresponding bipartition.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +29,10 @@ from .multiindex import (
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet
 
-#: default relative scale for calling a determinant negative
+#: relative scale for calling a determinant negative
 DET_TOL_SCALE = 1e-10
 
-#: default ceiling on the full scan matrix dimension
+#: ceiling on the full scan matrix dimension
 SIZE_CAP = 2000
 
 
@@ -134,7 +132,7 @@ def build_matrix(provider, transposed, selection: Selection, *,
     Both triangles are computed independently, the Hermiticity defect is
     recorded, and the matrix is symmetrized as (m + m†)/2.  Any moments the
     provider cannot resolve are aggregated into a single error listing every
-    missing key.
+    missing key; non-finite moments raise :class:`NumericError`.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -156,6 +154,8 @@ def build_matrix(provider, transposed, selection: Selection, *,
             missing.append(key)
     if missing:
         raise UnresolvedMomentsError(missing)
+    if not np.all(np.isfinite(moments)):
+        raise NumericError(f"moments of {getattr(provider, 'label', 'provider')} are not finite")
     # Sum every entry's terms in position order, which keeps matrices bitwise stable.
     order = np.argsort(entry * (int(unique[-1]) + 1) + positions)
     terms = coefficients[order] * moments[inverse[order]]
@@ -179,15 +179,21 @@ def build_matrix(provider, transposed, selection: Selection, *,
     )
 
 
-def determinant(matrix: MomentMatrix, *, tol_det: float | None = None) -> MinorResult:
-    """Real determinant of the matrix with verdict at a scale-aware tolerance."""
+def determinant(matrix: MomentMatrix) -> MinorResult:
+    """Real determinant of the matrix with verdict at a scale-aware tolerance.
+
+    The determinant of a Hermitian matrix is real; an imaginary part is
+    rounding and is refused only when it is above both 1e-6 relative to the
+    real part and the negativity threshold, below which it cannot move a
+    verdict.
+    """
     values = matrix.values
     if not np.all(np.isfinite(values)):
         raise NumericError("matrix contains non-finite entries")
     det = complex(np.linalg.det(values))
-    threshold = negativity_threshold(values) if tol_det is None else tol_det
+    threshold = negativity_threshold(values)
     imag_residual = abs(det.imag)
-    if imag_residual > 1e-6 * max(1.0, abs(det.real)):
+    if imag_residual > max(1e-6 * max(1.0, abs(det.real)), threshold):
         raise NumericError(
             f"determinant imaginary part {det.imag:.3e} too large for a Hermitian matrix"
         )
@@ -207,10 +213,9 @@ def negativity_threshold(values: np.ndarray) -> float:
     return DET_TOL_SCALE * max(1.0, scale)
 
 
-def principal_minor(provider, transposed, selection: Selection, *,
-                    tol_det: float | None = None) -> MinorResult:
+def principal_minor(provider, transposed, selection: Selection) -> MinorResult:
     """Build the selected matrix and take its determinant in one step."""
-    return determinant(build_matrix(provider, transposed, selection), tol_det=tol_det)
+    return determinant(build_matrix(provider, transposed, selection))
 
 
 @dataclass(frozen=True)
@@ -220,7 +225,6 @@ class ScanResult:
     min_eigenvalue: float
     witness: Selection | None
     minor: MinorResult | None
-    matrix: MomentMatrix = field(repr=False)
 
     @property
     def negative(self) -> bool:
@@ -228,8 +232,7 @@ class ScanResult:
 
 
 def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
-                          tol: float = 1e-9, max_minor_size: int = 6,
-                          size_cap: int = SIZE_CAP) -> ScanResult:
+                          tol: float = 1e-9, max_minor_size: int = 6) -> ScanResult:
     """Search the full weight-capped matrix for negativity, with witness.
 
     The matrix over all monomials of weight at most ``max_order`` is
@@ -245,24 +248,24 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
     size = count_up_to_weight(2 * modes, max_order)
-    if size > size_cap:
+    if size > SIZE_CAP:
         raise ResourceLimitError(
-            f"scan matrix would be {size}x{size}, above the cap {size_cap}"
+            f"scan matrix would be {size}x{size}, above the cap {SIZE_CAP}"
         )
     selection = Selection.leading(size)
     matrix = build_matrix(provider, transposed, selection)
     eigenvalues, vectors = np.linalg.eigh(matrix.values)
     min_eigenvalue = float(eigenvalues[0])
     if min_eigenvalue >= -tol:
-        return ScanResult(min_eigenvalue, None, None, matrix)
+        return ScanResult(min_eigenvalue, None, None)
     dominant = np.abs(vectors[:, 0])
     order = sorted(range(size), key=lambda i: (-dominant[i], i))
     indices = _extract_witness(matrix.values, order, max_minor_size)
     if indices is None:
-        return ScanResult(min_eigenvalue, None, None, matrix)
+        return ScanResult(min_eigenvalue, None, None)
     witness = Selection(tuple(sorted(selection.positions[i] for i in indices)))
     minor = principal_minor(provider, transposed, witness)
-    return ScanResult(min_eigenvalue, witness, minor, matrix)
+    return ScanResult(min_eigenvalue, witness, minor)
 
 
 def _extract_witness(values: np.ndarray, order: list[int],
@@ -317,8 +320,7 @@ def _subthreshold(values: np.ndarray, indices) -> float:
     return negativity_threshold(values[np.ix_(idx, idx)])
 
 
-def named_minor(provider, transposed, pairs, *,
-                tol_det: float | None = None) -> MinorResult:
+def named_minor(provider, transposed, pairs) -> MinorResult:
     """2x2 minor for the two-annihilator pair combination ((i,j),(k,l)).
 
     Rows are the positions of the monomials a_i a_j and a_k a_l; the
@@ -333,43 +335,11 @@ def named_minor(provider, transposed, pairs, *,
         raise ValueError(f"pair modes must lie in 1..{modes}")
     rows = [position_of(_pair_monomial(modes, i, j)), position_of(_pair_monomial(modes, k, l))]
     selection = Selection(tuple(sorted(rows)))
-    return principal_minor(provider, transposed, selection, tol_det=tol_det)
+    return principal_minor(provider, transposed, selection)
 
 
 def _pair_monomial(modes: int, i: int, j: int) -> MonomialIndex:
     return MonomialIndex.from_ops(modes, annihilation=(i, j))
-
-
-def min_principal_minor(values: np.ndarray, max_size: int, *,
-                        chunk: int = 100_000) -> tuple[float, tuple[int, ...]]:
-    """Minimum determinant over every principal minor of size <= max_size.
-
-    Enumerates subsets in batches and evaluates their determinants with
-    vectorized LU factorizations; intended for exhaustive nonnegativity
-    sweeps over moderate matrices (dimension a few dozen).
-    """
-    n = values.shape[0]
-    best = math.inf
-    best_indices: tuple[int, ...] = ()
-    for k in range(1, min(max_size, n) + 1):
-        for batch in _batched(itertools.combinations(range(n), k), chunk):
-            idx = np.array(batch)
-            sub = values[idx[:, :, None], idx[:, None, :]]
-            dets = np.linalg.det(sub).real
-            at = int(np.argmin(dets))
-            if dets[at] < best:
-                best = float(dets[at])
-                best_indices = tuple(int(x) for x in batch[at])
-    return best, best_indices
-
-
-def _batched(iterable, size):
-    iterator = iter(iterable)
-    while True:
-        batch = list(itertools.islice(iterator, size))
-        if not batch:
-            return
-        yield batch
 
 
 def _as_transposition(transposed, modes: int) -> TranspositionSet:

@@ -3,10 +3,10 @@
 Providers are immutable after construction and cache every computed moment,
 so they can be shared read-only across concurrent evaluations.  Besides the
 analytic states (coherent products, two-mode squeezed vacuum, the noisy
-W-type superposition of sign-flipped coherent states) there is a brute-force
-truncated-Fock oracle used throughout the tests to cross-validate every
-other source, and a JSON table format for measured or externally calculated
-moments.
+W-type superposition of sign-flipped coherent states) there is a provider
+for explicit truncated-Fock kets or density matrices, computed by direct
+matrix algebra, and a JSON table format for measured or externally
+calculated moments.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 from .errors import MomentDataError, TruncationError, UnresolvedMomentsError
 from .multiindex import MonomialIndex, count_up_to_weight, monomial_at, position_of
 
-# A moment key carries the same data as a monomial label: per-mode creation
-# and annihilation exponents.
-MomentKey = MonomialIndex
-
 HERMITICITY_TOL = 1e-9
 
 
@@ -38,9 +34,9 @@ class MomentProvider:
         if modes < 1:
             raise ValueError("mode count must be >= 1")
         self.modes = modes
-        self._cache: dict[MomentKey, complex] = {}
+        self._cache: dict[MonomialIndex, complex] = {}
 
-    def moment(self, key: MomentKey) -> complex:
+    def moment(self, key: MonomialIndex) -> complex:
         """Normally ordered moment for ``key``; identity is always 1."""
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
@@ -49,7 +45,7 @@ class MomentProvider:
             value = self._cache[key] = complex(self._compute(key))
         return value
 
-    def _compute(self, key: MomentKey) -> complex:
+    def _compute(self, key: MonomialIndex) -> complex:
         raise NotImplementedError
 
 
@@ -187,13 +183,14 @@ class WStateMoments(MomentProvider):
 
     def _unnormalized(self, key):
         n = self.modes
+        pairs = key.pairs
         total = 0.0 + 0.0j
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                sign = (-1) ** (key.creation[j - 1] + key.annihilation[i - 1])
+                sign = (-1) ** (pairs[j - 1][0] + pairs[i - 1][1])
                 term = complex(sign)
                 for m in range(1, n + 1):
-                    k, l = key.pairs[m - 1]
+                    k, l = pairs[m - 1]
                     overlap = i != j and m in (i, j)
                     term *= self._mode_factor(m, k, l, overlap)
                 total += term
@@ -247,14 +244,9 @@ def _hermgauss(points: int):
     return got
 
 
-def destroy(cutoff: int) -> np.ndarray:
+def _destroy(cutoff: int) -> np.ndarray:
     """Annihilation operator on a Fock space truncated to ``cutoff`` levels."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    a = np.zeros((cutoff, cutoff), dtype=complex)
-    for m in range(1, cutoff):
-        a[m - 1, m] = math.sqrt(m)
-    return a
+    return np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
 
 
 class FockStateMoments(MomentProvider):
@@ -293,23 +285,7 @@ class FockStateMoments(MomentProvider):
             raise MomentDataError(
                 f"state shape {state.shape} does not match cutoffs {cutoffs}"
             )
-        self._ladders = [destroy(c) for c in cutoffs]
-
-    def tail_estimate(self) -> float:
-        """Total population of the top two Fock layers of any mode."""
-        if self._vector is not None:
-            pops = np.abs(self._vector.reshape(self.cutoffs)) ** 2
-        else:
-            pops = np.real(np.diagonal(self._rho)).reshape(self.cutoffs)
-        total = 0.0
-        for axis, c in enumerate(self.cutoffs):
-            sl = [slice(None)] * self.modes
-            sl[axis] = slice(max(c - 2, 0), c)
-            total += float(np.sum(pops[tuple(sl)]))
-            # avoid double counting below by zeroing what was summed
-            pops = pops.copy()
-            pops[tuple(sl)] = 0.0
-        return total
+        self._ladders = [_destroy(c) for c in cutoffs]
 
     def _compute(self, key):
         for (k, l), c in zip(key.pairs, self.cutoffs):
@@ -346,107 +322,13 @@ def _trace_with_product(rho: np.ndarray, cutoffs, ops) -> complex:
     return complex(np.einsum(",".join(subscripts) + "->", rho.reshape(cutoffs * 2), *ops))
 
 
-def partial_transpose(state, cutoffs, transposed) -> np.ndarray:
-    """Density matrix of the state with the given modes transposed.
-
-    Accepts a ket vector or a density matrix; transposition acts in the Fock
-    basis by swapping the corresponding row and column tensor axes.
-    """
-    cutoffs = (cutoffs,) if isinstance(cutoffs, int) else tuple(int(c) for c in cutoffs)
-    n = len(cutoffs)
-    members = getattr(transposed, "members", transposed)
-    subset = set(members)
-    if not subset <= set(range(1, n + 1)):
-        raise ValueError(f"transposed modes {sorted(subset)} not within 1..{n}")
-    state = np.asarray(state, dtype=complex)
-    dim = math.prod(cutoffs)
-    rho = np.outer(state, state.conj()) if state.shape == (dim,) else state
-    if rho.shape != (dim, dim):
-        raise MomentDataError(f"state shape {state.shape} does not match cutoffs {cutoffs}")
-    tensor = rho.reshape(cutoffs * 2)
-    axes = list(range(2 * n))
-    for i in subset:
-        axes[i - 1], axes[n + i - 1] = axes[n + i - 1], axes[i - 1]
-    return tensor.transpose(axes).reshape(dim, dim)
-
-
-def auto_cutoff(populations, tol: float = 1e-12, cap: int = 40, min_cutoff: int = 5) -> int:
-    """Smallest truncation whose top two layers hold less than ``tol`` population."""
-    pops = list(populations)
-    for c in range(min_cutoff, min(len(pops), cap) + 1):
-        if pops[c - 1] + pops[c - 2] < tol:
-            return c
-    return cap
-
-
-def _poisson_populations(mean: float, cap: int = 41):
-    out = [math.exp(-mean)]
-    for m in range(1, cap):
-        out.append(out[-1] * mean / m)
-    return out
-
-
-def fock_coherent_state(gammas, cutoffs=None):
-    """Coherent product-state ket; returns ``(vector, cutoffs)``."""
-    gammas = [complex(g) for g in gammas]
-    if cutoffs is None:
-        cutoffs = tuple(auto_cutoff(_poisson_populations(abs(g) ** 2)) for g in gammas)
-    else:
-        cutoffs = (cutoffs,) * len(gammas) if isinstance(cutoffs, int) else tuple(cutoffs)
-    vec = np.ones(1, dtype=complex)
-    for g, c in zip(gammas, cutoffs):
-        vec = np.kron(vec, _coherent_vector(g, c))
-    return vec / np.linalg.norm(vec), cutoffs
-
-
-def _coherent_vector(gamma: complex, cutoff: int) -> np.ndarray:
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
-    for m in range(1, cutoff):
-        amps[m] = amps[m - 1] * gamma / math.sqrt(m)
-    return amps * math.exp(-abs(gamma) ** 2 / 2.0)
-
-
-def fock_tmsv_state(r: float, cutoff: int | None = None):
-    """Two-mode squeezed vacuum ket in the truncated space; ``(vector, cutoffs)``."""
-    t = math.tanh(r)
-    if cutoff is None:
-        sech2 = 1.0 - t * t
-        cutoff = auto_cutoff([sech2 * t ** (2 * m) for m in range(41)])
-    vec = np.zeros((cutoff, cutoff), dtype=complex)
-    for m in range(cutoff):
-        vec[m, m] = t ** m
-    vec = vec.reshape(-1)
-    return vec / np.linalg.norm(vec), (cutoff, cutoff)
-
-
-def fock_wstate(alphas, cutoffs=None):
-    """Noiseless sign-flip superposition ket; ``(vector, cutoffs)``."""
-    alphas = [complex(a) for a in alphas]
-    n = len(alphas)
-    if cutoffs is None:
-        cutoffs = tuple(auto_cutoff(_poisson_populations(abs(a) ** 2)) for a in alphas)
-    elif isinstance(cutoffs, int):
-        cutoffs = (cutoffs,) * n
-    else:
-        cutoffs = tuple(cutoffs)
-    vec = np.zeros(math.prod(cutoffs), dtype=complex)
-    for i in range(n):
-        branch = np.ones(1, dtype=complex)
-        for m, (a, c) in enumerate(zip(alphas, cutoffs)):
-            amp = -a if m == i else a
-            branch = np.kron(branch, _coherent_vector(amp, c))
-        vec += branch
-    return vec / np.linalg.norm(vec), cutoffs
-
-
 @dataclass
 class MomentTable:
     """Validated moment data: mode count, tolerance and key/value entries."""
 
     modes: int
     tolerance: float
-    entries: dict[MomentKey, complex]
+    entries: dict[MonomialIndex, complex]
 
     @property
     def max_order(self) -> int:
@@ -499,7 +381,7 @@ def load_moment_table(source) -> MomentTable:
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise MomentDataError("'entries' must be a list")
-    entries: dict[MomentKey, complex] = {}
+    entries: dict[MonomialIndex, complex] = {}
     for item in raw:
         if not isinstance(item, dict):
             raise MomentDataError("each entry must be an object")

@@ -30,27 +30,25 @@ from .multiindex import MonomialIndex, binomial_table, count_up_to_weight, monom
 MAX_EXPONENT = 8
 
 
-def _check_exponents(exps, max_exponent):
-    limit = MAX_EXPONENT if max_exponent is None else max_exponent
+def _check_exponents(exps):
     for e in exps:
         if e < 0:
             raise ValueError("exponents must be nonnegative")
-        if e > limit:
+        if e > MAX_EXPONENT:
             raise ExponentLimitError(
-                f"exponent {e} exceeds the configured maximum {limit}"
+                f"exponent {e} exceeds the configured maximum {MAX_EXPONENT}"
             )
 
 
 @lru_cache(maxsize=None)
-def normal_order_single_mode(l: int, k: int, p: int, q: int,
-                             max_exponent: int | None = None) -> dict:
+def normal_order_single_mode(l: int, k: int, p: int, q: int) -> dict:
     """Normally ordered expansion of ``ad^l a^k ad^p a^q`` for one mode.
 
     Returns a mapping ``{(k', l'): coefficient}`` with
     ``k' = l + p - j``, ``l' = k + q - j`` and coefficient
     ``j! C(k,j) C(p,j)`` for ``j = 0..min(k, p)``.
     """
-    _check_exponents((l, k, p, q), max_exponent)
+    _check_exponents((l, k, p, q))
     out = {}
     for j in range(min(k, p) + 1):
         out[(l + p - j, k + q - j)] = factorial(j) * comb(k, j) * comb(p, j)

@@ -1,11 +1,12 @@
-"""Transposition-set algebra, canonical bipartitions and mode decompositions.
+"""Transposition sets, canonical bipartitions and mode decompositions.
 
 A partial transposition is labelled by the subset of modes it transposes.
-Composing two of them transposes the symmetric difference, and a set and its
-complement always give the same test, so only the ``2^(n-1) - 1`` subsets
-avoiding the highest mode need to be checked.  Decompositions (set
-partitions of the modes) are the vocabulary for reporting which separability
-classes a certification excludes.
+A set and its complement always give the same test, so only the
+``2^(n-1) - 1`` subsets avoiding the highest mode need to be checked.
+Decompositions (set partitions of the modes) are the vocabulary for
+reporting which separability classes a certification excludes: a
+decomposition is excluded when every bipartition that merges its parts into
+two groups (:func:`bipartitions_coarsening`) tested NPT.
 """
 
 from __future__ import annotations
@@ -52,13 +53,6 @@ class TranspositionSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
-
-
-def compose(i: TranspositionSet, j: TranspositionSet) -> TranspositionSet:
-    """Composition of two partial transpositions: the symmetric difference."""
-    if i.modes != j.modes:
-        raise ValueError(f"mode-count mismatch: {i.modes} vs {j.modes}")
-    return TranspositionSet(i.modes, i.members ^ j.members)
 
 
 def canonical_bipartitions(n: int) -> list[TranspositionSet]:
@@ -111,13 +105,6 @@ class Decomposition:
         return "{" + "|".join(",".join(str(i) for i in sorted(p)) for p in self.parts) + "}"
 
 
-def refines(sigma: Decomposition, pi: Decomposition) -> bool:
-    """True when every part of ``sigma`` lies inside some part of ``pi``."""
-    if sigma.modes != pi.modes:
-        raise ValueError(f"mode-count mismatch: {sigma.modes} vs {pi.modes}")
-    return all(any(s <= p for p in pi.parts) for s in sigma.parts)
-
-
 def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
     """Canonical bipartitions obtained by merging the parts of ``pi`` into two groups.
 
@@ -138,8 +125,8 @@ def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
     return sorted(out, key=TranspositionSet.sort_key)
 
 
-def all_decompositions(n: int, min_parts: int = 2) -> list[Decomposition]:
-    """Every decomposition of ``1..n`` with at least ``min_parts`` parts."""
+def all_decompositions(n: int) -> list[Decomposition]:
+    """Every decomposition of ``1..n`` with at least two parts."""
 
     def partitions(items):
         if not items:
@@ -154,6 +141,6 @@ def all_decompositions(n: int, min_parts: int = 2) -> list[Decomposition]:
     out = [
         Decomposition(n, tuple(frozenset(p) for p in parts))
         for parts in partitions(list(range(1, n + 1)))
-        if len(parts) >= min_parts
+        if len(parts) >= 2
     ]
     return sorted(out, key=Decomposition.sort_key)

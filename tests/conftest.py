@@ -6,11 +6,12 @@ operator products), deliberately avoiding the package's normal-ordering and
 quadrature machinery so the two paths are independent.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from ptmoments import MonomialIndex
+from ptmoments import MomentProvider, MonomialIndex
 
 
 def ladder(cutoff):
@@ -178,3 +179,69 @@ def tmsv_vector(r, cutoff):
         vec[m, m] = t ** m
     vec = vec.reshape(-1)
     return vec / np.linalg.norm(vec)
+
+
+def wstate_vector(alphas, cutoffs):
+    """Noiseless sign-flip superposition sum_i |a_1, ..., -a_i, ..., a_n>."""
+    vec = np.zeros(int(np.prod(cutoffs)), dtype=complex)
+    for i in range(len(alphas)):
+        branch = np.ones(1, dtype=complex)
+        for m, (a, c) in enumerate(zip(alphas, cutoffs)):
+            branch = np.kron(branch, coherent_vector(-a if m == i else a, c))
+        vec += branch
+    return vec / np.linalg.norm(vec)
+
+
+class CoherentMixture(MomentProvider):
+    """Separable mixture sum_c w_c |gamma_c><gamma_c| of coherent product states.
+
+    A moment is sum_c w_c prod_i conj(gamma_ci)^k_i gamma_ci^l_i.
+    """
+
+    def __init__(self, weights, gammas):
+        self.weights = np.asarray(weights, dtype=float)
+        self.gammas = np.asarray(gammas, dtype=complex)
+        super().__init__(self.gammas.shape[1])
+
+    def _compute(self, key):
+        k, l = np.array(key.pairs).T
+        return complex(self.weights @ np.prod(self.gammas.conj() ** k * self.gammas ** l, axis=1))
+
+
+def random_coherent_mixture(rng, modes, max_amplitude=30.0):
+    """1-4 coherent product states with random weights and |gamma| <= max_amplitude."""
+    count = int(rng.integers(1, 5))
+    radii = max_amplitude * np.sqrt(rng.uniform(size=(count, modes)))
+    phases = np.exp(2j * np.pi * rng.uniform(size=(count, modes)))
+    return CoherentMixture(rng.dirichlet(np.ones(count)), radii * phases)
+
+
+def min_principal_minor(values, max_size, *, chunk=100_000):
+    """Minimum determinant over every principal minor of size <= max_size.
+
+    Enumerates subsets in batches and evaluates their determinants with
+    vectorized LU factorizations; intended for exhaustive nonnegativity
+    sweeps over moderate matrices (dimension a few dozen).
+    """
+    n = values.shape[0]
+    best = math.inf
+    best_indices = ()
+    for k in range(1, min(max_size, n) + 1):
+        for batch in _batched(itertools.combinations(range(n), k), chunk):
+            idx = np.array(batch)
+            sub = values[idx[:, :, None], idx[:, None, :]]
+            dets = np.linalg.det(sub).real
+            at = int(np.argmin(dets))
+            if dets[at] < best:
+                best = float(dets[at])
+                best_indices = tuple(int(x) for x in batch[at])
+    return best, best_indices
+
+
+def _batched(iterable, size):
+    iterator = iter(iterable)
+    while True:
+        batch = list(itertools.islice(iterator, size))
+        if not batch:
+            return
+        yield batch

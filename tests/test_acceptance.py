@@ -35,6 +35,7 @@ from conftest import (
     density_of,
     direct_pt_entry,
     evaluate_terms,
+    min_principal_minor,
     padded_random_state,
     random_monomial,
     tmsv_vector,
@@ -56,7 +57,6 @@ from ptmoments import (
     entry_expression_pt,
     four_mode_pair_groups,
     load_moment_table,
-    min_principal_minor,
     moment_table_to_json,
     monomial_at,
     named_minor,

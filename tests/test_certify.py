@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_coherent_mixture, tmsv_vector
 from ptmoments import (
     CoherentProductMoments,
     Decomposition,
@@ -18,7 +19,6 @@ from ptmoments import (
     canonical_bipartitions,
     certify_full,
     eigen_negativity_scan,
-    fock_tmsv_state,
     four_mode_pair_groups,
     named_minor,
     sweep,
@@ -167,10 +167,9 @@ class TestCertifyFull:
         # Squeezed modes 1-2 with a vacuum third mode: cuts isolating mode 1
         # or mode 2 are NPT, the 12|3 cut is not, and exactly the
         # decompositions refuted by the NPT cuts are excluded.
-        vec, (c, _) = fock_tmsv_state(0.5, cutoff=18)
         vac = np.zeros(6, dtype=complex)
         vac[0] = 1.0
-        oracle = FockStateMoments(np.kron(vec, vac), (c, c, 6))
+        oracle = FockStateMoments(np.kron(tmsv_vector(0.5, 18), vac), (18, 18, 6))
         report = certify_full(oracle)
         verdicts = {str(o.transposition): o.verdict for o in report.outcomes}
         assert verdicts == {
@@ -180,6 +179,18 @@ class TestCertifyFull:
         }
         assert not report.certificate
         assert {str(d) for d in report.excluded} == {"{1|2,3}", "{1,3|2}"}
+
+    @pytest.mark.parametrize(
+        "modes,order,count", [(2, 2, 40), (3, 2, 30), (4, 2, 20), (2, 3, 30), (3, 3, 10)]
+    )
+    def test_separable_mixtures_never_npt(self, modes, order, count):
+        # Mixtures of coherent product states are separable across every cut,
+        # so no amplitude up to |gamma| = 30 may give an NPT verdict.
+        rng = np.random.default_rng(100 * modes + order)
+        budget = SearchBudget(max_order=order)
+        for _ in range(count):
+            report = certify_full(random_coherent_mixture(rng, modes), budget)
+            assert not any(outcome.npt for outcome in report.outcomes)
 
     def test_outcome_for_canonicalizes(self):
         report = certify_full(wstate(0.3))

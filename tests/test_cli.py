@@ -273,6 +273,25 @@ class TestCertify:
         assert report["excluded_decompositions"] == []
         assert "separability" in report["note"]
 
+    @pytest.mark.parametrize("gamma", ["25+5i,20,-18i,22", "29+7i,-21+3i,12-26i,30"])
+    def test_bright_separable_state_refused(self, gamma):
+        # Pair minors with entries near |gamma|^4 carry rounding in the
+        # determinant's imaginary part; it must not abort the verdict.
+        code, out, err = invoke(["certify", "--state", "coherent", f"--gamma={gamma}"])
+        assert code == EXIT_NO_CERTIFICATE, err
+        report = json.loads(out)
+        assert [b["verdict"] for b in report["bipartitions"]] == ["inconclusive"] * 7
+
+    @pytest.mark.parametrize("extra", [[], ["--strategy", "named-minors"]])
+    def test_overflowing_amplitudes_are_a_data_error(self, extra):
+        code, out, err = invoke(
+            ["certify", "--state", "coherent", "--gamma=1e100,1e100,1e100,1e100"] + extra
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_moments_file_input(self, tmp_path):
         path = write_table(
             tmp_path,

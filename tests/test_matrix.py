@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evaluate_terms, padded_random_state
+from conftest import evaluate_terms, min_principal_minor, padded_random_state
 from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
@@ -28,7 +28,6 @@ from ptmoments import (
     eigen_negativity_scan,
     entry_expression_pt,
     load_moment_table,
-    min_principal_minor,
     moment_table_to_json,
     named_minor,
     negativity_threshold,
@@ -247,9 +246,7 @@ class TestDeterminant:
         assert negativity_threshold(np.diag([0.1])) == pytest.approx(1e-10)
         tiny = determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-12]]))
         assert tiny.verdict == "nonnegative"
-        res = determinant(
-            self.manual_matrix([[1.0, 0.0], [0.0, -1e-12]]), tol_det=1e-14
-        )
+        res = determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-9]]))
         assert res.verdict == "negative"
 
     def test_as_dict_format(self):
@@ -358,9 +355,10 @@ class TestEigenScan:
         assert result.minor.determinant == pytest.approx(-0.5)
         assert result.negative
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr("ptmoments.matrix.SIZE_CAP", 10)
         with pytest.raises(ResourceLimitError):
-            eigen_negativity_scan(TmsvMoments(0.5), (1,), max_order=2, size_cap=10)
+            eigen_negativity_scan(TmsvMoments(0.5), (1,), max_order=2)
 
     def test_order_validated(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import direct_moment, noisy_wstate_density, padded_random_state
+from conftest import (
+    coherent_vector,
+    direct_moment,
+    noisy_wstate_density,
+    padded_random_state,
+    tmsv_vector,
+    wstate_vector,
+)
 
 from ptmoments import (
     CoherentProductMoments,
@@ -21,17 +28,12 @@ from ptmoments import (
     UnresolvedMomentsError,
     WStateMoments,
     WStateParams,
-    auto_cutoff,
-    fock_coherent_state,
-    fock_tmsv_state,
-    fock_wstate,
     load_moment_table,
     moment_table_to_json,
     monomial_at,
-    partial_transpose,
     table_from_provider,
 )
-from ptmoments.moments import _gaussian_moment, _poisson_populations
+from ptmoments.moments import _gaussian_moment
 
 
 def idx(*pairs):
@@ -72,8 +74,7 @@ class TestCoherent:
 
     def test_matches_fock_oracle(self):
         gamma = 0.5
-        vec, cutoffs = fock_coherent_state((gamma,))
-        oracle = FockStateMoments(vec, cutoffs)
+        oracle = FockStateMoments(coherent_vector(gamma, 12), (12,))
         prov = CoherentProductMoments((gamma,))
         for key in keys_up_to_weight(1, 4):
             assert oracle.moment(key) == pytest.approx(prov.moment(key), abs=1e-10)
@@ -114,8 +115,7 @@ class TestTmsv:
 
     def test_matches_fock_oracle(self):
         r = 0.6
-        vec, cutoffs = fock_tmsv_state(r, cutoff=30)
-        oracle = FockStateMoments(vec, cutoffs)
+        oracle = FockStateMoments(tmsv_vector(r, 30), (30, 30))
         prov = TmsvMoments(r)
         for key in keys_up_to_weight(2, 4):
             assert oracle.moment(key) == pytest.approx(
@@ -127,8 +127,8 @@ class TestWStateNoiseless:
     def test_matches_fock_oracle_four_modes(self):
         alphas = (0.35, 0.35, 0.35, 0.35)
         prov = WStateMoments(WStateParams(alphas, (0.0,) * 4))
-        vec, cutoffs = fock_wstate(alphas)
-        oracle = FockStateMoments(vec, cutoffs)
+        cutoffs = (11,) * 4
+        oracle = FockStateMoments(wstate_vector(alphas, cutoffs), cutoffs)
         rng = np.random.default_rng(17)
         keys = list(keys_up_to_weight(4, 2))
         extra = []
@@ -147,8 +147,7 @@ class TestWStateNoiseless:
     def test_asymmetric_amplitudes_match_oracle(self):
         alphas = (0.4 + 0.1j, 0.25 - 0.3j)
         prov = WStateMoments(WStateParams(alphas, (0.0, 0.0)))
-        vec, cutoffs = fock_wstate(alphas)
-        oracle = FockStateMoments(vec, cutoffs)
+        oracle = FockStateMoments(wstate_vector(alphas, (11, 11)), (11, 11))
         for key in keys_up_to_weight(2, 4):
             assert prov.moment(key) == pytest.approx(
                 oracle.moment(key), abs=1e-9
@@ -263,9 +262,9 @@ class TestGaussianMoment:
 
 class TestFockOracle:
     def test_vector_norm_validated(self):
-        vec, cutoffs = fock_coherent_state((0.3,))
+        vec = coherent_vector(0.3, 10)
         with pytest.raises(MomentDataError):
-            FockStateMoments(vec * 1.01, cutoffs)
+            FockStateMoments(vec * 1.01, (10,))
 
     def test_density_validation(self):
         rho = np.diag([0.6, 0.4, 0.0]).astype(complex)
@@ -284,15 +283,14 @@ class TestFockOracle:
             FockStateMoments(np.ones(4) / 2.0, (2, 3))
 
     def test_truncation_error_for_large_exponents(self):
-        vec, cutoffs = fock_coherent_state((0.2,), cutoffs=3)
-        oracle = FockStateMoments(vec, cutoffs)
+        vec = coherent_vector(0.2, 3)
+        oracle = FockStateMoments(vec / np.linalg.norm(vec), (3,))
         with pytest.raises(TruncationError):
             oracle.moment(idx((3, 3)))
 
     def test_coherent_first_moment(self):
         gamma = 0.5
-        vec, cutoffs = fock_coherent_state((gamma,))
-        oracle = FockStateMoments(vec, cutoffs)
+        oracle = FockStateMoments(coherent_vector(gamma, 12), (12,))
         assert oracle.moment(idx((0, 1))) == pytest.approx(gamma, abs=1e-10)
         assert oracle.moment(idx((1, 0))) == pytest.approx(gamma, abs=1e-10)
 
@@ -305,71 +303,6 @@ class TestFockOracle:
             assert as_vec.moment(key) == pytest.approx(
                 as_rho.moment(key), abs=1e-12
             )
-
-    def test_tail_estimate(self):
-        low = np.zeros(8, dtype=complex)
-        low[0] = 1.0
-        assert FockStateMoments(low, (8,)).tail_estimate() == pytest.approx(0.0)
-        high = np.zeros(8, dtype=complex)
-        high[7] = 1.0
-        assert FockStateMoments(high, (8,)).tail_estimate() == pytest.approx(1.0)
-
-    def test_tail_estimate_no_double_count(self):
-        # A two-mode state concentrated on the top corner must count once.
-        vec = np.zeros((4, 4), dtype=complex)
-        vec[3, 3] = 1.0
-        oracle = FockStateMoments(vec.reshape(-1), (4, 4))
-        assert oracle.tail_estimate() == pytest.approx(1.0)
-
-
-class TestPartialTranspose:
-    def test_involution_and_trace(self):
-        rng = np.random.default_rng(29)
-        vec, cutoffs = padded_random_state(rng, (2, 2), headroom=2)
-        rho = np.outer(vec, vec.conj())
-        pt = partial_transpose(rho, cutoffs, (2,))
-        assert np.trace(pt) == pytest.approx(1.0)
-        assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
-        back = partial_transpose(pt, cutoffs, (2,))
-        assert np.max(np.abs(back - rho)) < 1e-14
-
-    def test_accepts_vector_input(self):
-        vec, cutoffs = fock_tmsv_state(0.4, cutoff=6)
-        pt = partial_transpose(vec, cutoffs, (1,))
-        rho = np.outer(vec, vec.conj())
-        assert np.max(np.abs(pt - partial_transpose(rho, cutoffs, (1,)))) == 0.0
-
-    def test_empty_set_is_identity_map(self):
-        vec, cutoffs = fock_tmsv_state(0.4, cutoff=5)
-        rho = np.outer(vec, vec.conj())
-        assert np.max(np.abs(partial_transpose(rho, cutoffs, ()) - rho)) == 0.0
-
-    def test_full_transpose_detects_entanglement(self):
-        # The squeezed state has a negative eigenvalue after transposing one
-        # mode but stays positive when both are transposed (full transpose).
-        vec, cutoffs = fock_tmsv_state(0.5, cutoff=14)
-        one = np.linalg.eigvalsh(partial_transpose(vec, cutoffs, (1,)))
-        both = np.linalg.eigvalsh(partial_transpose(vec, cutoffs, (1, 2)))
-        assert one.min() < -1e-3
-        assert both.min() > -1e-12
-
-    def test_mode_range_checked(self):
-        vec, cutoffs = fock_tmsv_state(0.3, cutoff=4)
-        with pytest.raises(ValueError):
-            partial_transpose(vec, cutoffs, (3,))
-
-
-class TestAutoCutoff:
-    def test_poisson_tail(self):
-        pops = _poisson_populations(0.1)
-        c = auto_cutoff(pops)
-        assert 5 <= c <= 40
-        assert pops[c - 1] + pops[c - 2] < 1e-12
-
-    def test_cap_and_floor(self):
-        assert auto_cutoff([1.0] * 50) == 40
-        assert auto_cutoff([0.0] * 50) == 5
-        assert auto_cutoff([1.0] * 50, cap=12) == 12
 
 
 class TestMomentTable:

@@ -67,7 +67,6 @@ class TestNormalOrderSingleMode:
     def test_exponent_limit(self):
         with pytest.raises(ExponentLimitError):
             normal_order_single_mode(0, 9, 9, 0)
-        assert normal_order_single_mode(0, 9, 9, 0, max_exponent=9)
 
 
 class TestEntryExpression:

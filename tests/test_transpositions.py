@@ -10,8 +10,6 @@ from ptmoments import (
     all_decompositions,
     bipartitions_coarsening,
     canonical_bipartitions,
-    compose,
-    refines,
 )
 
 
@@ -54,39 +52,6 @@ class TestTranspositionSet:
         sets = [tset(3, 2), tset(3, 1, 2), tset(3, 1), tset(3, 3)]
         ordered = sorted(sets, key=TranspositionSet.sort_key)
         assert [str(t) for t in ordered] == ["{1}", "{2}", "{3}", "{1,2}"]
-
-
-class TestCompose:
-    def test_symmetric_difference(self):
-        assert compose(tset(3, 1, 2), tset(3, 2, 3)) == tset(3, 1, 3)
-
-    def test_self_inverse(self):
-        t = tset(4, 1, 3)
-        assert compose(t, t) == TranspositionSet.empty(4)
-
-    def test_identity_element(self):
-        t = tset(4, 2, 4)
-        assert compose(t, TranspositionSet.empty(4)) == t
-
-    def test_full_set_gives_complement(self):
-        t = tset(4, 1, 4)
-        assert compose(t, tset(4, 1, 2, 3, 4)) == t.complement()
-
-    def test_group_axioms_sampled(self):
-        sets = [
-            TranspositionSet.of(3, *members)
-            for r in range(4)
-            for members in itertools.combinations((1, 2, 3), r)
-        ]
-        for a in sets:
-            for b in sets:
-                assert compose(a, b) == compose(b, a)
-                for c in sets:
-                    assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-    def test_mode_count_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(tset(3, 1), tset(4, 1))
 
 
 class TestCanonicalBipartitions:
@@ -157,24 +122,6 @@ class TestDecomposition:
 
     def test_finest(self):
         assert str(Decomposition.finest(3)) == "{1|2|3}"
-
-    def test_refines(self):
-        finest = Decomposition.finest(4)
-        pairs = Decomposition.of(4, (1, 2), (3, 4))
-        assert refines(finest, pairs)
-        assert refines(pairs, pairs)
-        assert not refines(pairs, Decomposition.of(4, (1, 3), (2, 4)))
-
-    def test_refines_is_partial_order(self):
-        decs = all_decompositions(3, min_parts=1)
-        for a in decs:
-            assert refines(a, a)
-            for b in decs:
-                if refines(a, b) and refines(b, a):
-                    assert a == b
-                for c in decs:
-                    if refines(a, b) and refines(b, c):
-                        assert refines(a, c)
 
     def test_all_decompositions_counts(self):
         # Number of partitions into >= 2 blocks: Bell(n) - 1.
