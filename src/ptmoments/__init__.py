@@ -33,7 +33,6 @@ from .matrix import (
     determinant,
     eigen_negativity_scan,
     named_minor,
-    negativity_threshold,
     principal_minor,
 )
 from .moments import (
@@ -111,7 +110,6 @@ __all__ = [
     "moment_table_to_json",
     "monomial_at",
     "named_minor",
-    "negativity_threshold",
     "normal_order_single_mode",
     "nth_multiindex",
     "position_of",

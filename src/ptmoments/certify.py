@@ -124,7 +124,9 @@ def test_bipartition(provider, transposed, budget: SearchBudget | None = None, *
         min_eigenvalue = scan.min_eigenvalue
         if scan.negative:
             return BipartitionOutcome(transposed, "NPT", scan.minor, min_eigenvalue)
-    if budget.strategy in ("named-minors", "both") and budget.max_minor_size >= 2:
+    # Pair rows are weight-2 monomials, which a budget below order 2 does not reach.
+    if (budget.strategy in ("named-minors", "both") and budget.max_minor_size >= 2
+            and budget.max_order >= 2):
         for pairs in _pair_combinations(provider.modes):
             result = named_minor(provider, transposed, pairs)
             if result.negative:

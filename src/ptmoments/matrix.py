@@ -32,6 +32,9 @@ from .transpositions import TranspositionSet
 #: relative scale for calling a determinant negative
 DET_TOL_SCALE = 1e-10
 
+#: largest entry-wise Hermiticity defect accepted from moment data
+HERMITICITY_TOL = 1e-6
+
 #: ceiling on the full scan matrix dimension
 SIZE_CAP = 2000
 
@@ -122,11 +125,10 @@ class MinorResult:
         }
 
 
-def build_matrix(provider, transposed, selection: Selection, *,
-                 hermiticity_tol: float = 1e-6) -> MomentMatrix:
+def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     """Evaluate the moment matrix for ``selection`` under partial transposition.
 
-    Entries are gathered from a compiled entry plan (see
+    Entries are gathered from the selection's compiled entry plan (see
     :func:`~ptmoments.operator_algebra.plan_for`) with the transposed modes'
     exponents swapped, and each distinct moment is fetched once.
     Both triangles are computed independently, the Hermiticity defect is
@@ -136,12 +138,11 @@ def build_matrix(provider, transposed, selection: Selection, *,
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
-    plan, rows = plan_for(modes, selection.positions)
-    entry, coefficients, keys = plan.select(rows)
+    plan = plan_for(modes, selection.positions)
     swap = np.arange(2 * modes)
     for mode in transposed.members:
         swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
-    keys = keys[:, swap]
+    keys = plan.keys[:, swap]
     positions = packed_positions(keys, plan.binomials)
     unique, first, inverse = np.unique(positions, return_index=True, return_inverse=True)
     moments = np.empty(unique.size, dtype=complex)
@@ -157,17 +158,18 @@ def build_matrix(provider, transposed, selection: Selection, *,
     if not np.all(np.isfinite(moments)):
         raise NumericError(f"moments of {getattr(provider, 'label', 'provider')} are not finite")
     # Sum every entry's terms in position order, which keeps matrices bitwise stable.
-    order = np.argsort(entry * (int(unique[-1]) + 1) + positions)
-    terms = coefficients[order] * moments[inverse[order]]
+    order = np.argsort(plan.entry * (int(unique[-1]) + 1) + positions)
+    entry = plan.entry[order]
+    terms = plan.coefficients[order] * moments[inverse[order]]
     n = len(selection)
     values = np.empty(n * n, dtype=complex)
-    values.real = np.bincount(entry[order], weights=terms.real, minlength=n * n)
-    values.imag = np.bincount(entry[order], weights=terms.imag, minlength=n * n)
+    values.real = np.bincount(entry, weights=terms.real, minlength=n * n)
+    values.imag = np.bincount(entry, weights=terms.imag, minlength=n * n)
     values = values.reshape(n, n)
     residual = float(np.max(np.abs(values - values.conj().T)))
-    if residual > hermiticity_tol:
+    if residual > HERMITICITY_TOL:
         raise MomentDataError(
-            f"moment data breaks Hermiticity by {residual:.3e} (> {hermiticity_tol:.0e})"
+            f"moment data breaks Hermiticity by {residual:.3e} (> {HERMITICITY_TOL:.0e})"
         )
     values = (values + values.conj().T) / 2.0
     return MomentMatrix(

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MomentDataError, TruncationError, UnresolvedMomentsError
+from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
 from .multiindex import MonomialIndex, count_up_to_weight, monomial_at, position_of
 
 HERMITICITY_TOL = 1e-9
@@ -60,8 +60,11 @@ class CoherentProductMoments(MomentProvider):
 
     def _compute(self, key):
         value = 1.0 + 0.0j
-        for g, (k, l) in zip(self.gammas, key.pairs):
-            value *= g.conjugate() ** k * g ** l
+        try:
+            for g, (k, l) in zip(self.gammas, key.pairs):
+                value *= g.conjugate() ** k * g ** l
+        except OverflowError:
+            raise NumericError(f"moment {key} of {self.label} overflows") from None
         return value
 
 
@@ -151,10 +154,9 @@ class WStateMoments(MomentProvider):
     dividing out the identity moment.
     """
 
-    def __init__(self, params: WStateParams, quad_points: int | None = None):
+    def __init__(self, params: WStateParams):
         super().__init__(params.modes)
         self.params = params
-        self.quad_points = quad_points
         self._factor_cache: dict[tuple, complex] = {}
         a0 = params.alphas[0]
         sym = all(a == a0 for a in params.alphas) and all(
@@ -202,15 +204,18 @@ class WStateMoments(MomentProvider):
         if value is None:
             alpha = self.params.alphas[mode - 1]
             nbar = self.params.nbars[mode - 1]
-            value = _gaussian_moment(alpha, nbar, k, l, overlap, self.quad_points)
+            value = _gaussian_moment(alpha, nbar, k, l, overlap)
             self._factor_cache[cache_key] = value
         return value
 
 
 def _gaussian_moment(alpha: complex, nbar: float, k: int, l: int,
-                     overlap: bool, quad_points: int | None) -> complex:
+                     overlap: bool, quad_points: int | None = None) -> complex:
     """Integral of conj(b)^k b^l (times exp(-2|b|^2) if ``overlap``) under the
-    Gaussian kernel of mean ``alpha`` and variance ``nbar`` per quadrature axis."""
+    Gaussian kernel of mean ``alpha`` and variance ``nbar`` per quadrature axis.
+
+    The default (k + l) // 2 + 3 Gauss-Hermite points are exact for the
+    polynomial; ``quad_points`` overrides them."""
     sigma = 2.0 if overlap else 0.0
     if nbar == 0.0:
         value = alpha.conjugate() ** k * alpha ** l

@@ -11,8 +11,9 @@ turns every entry into a finite integer-coefficient combination of normally
 ordered moments.  Partially transposing a mode rearranges the four exponents
 of its factor to ``ad^q a^p ad^k a^l``, which reduces to the same terms with
 that mode's creation and annihilation exponents swapped.  An
-:class:`EntryPlan` therefore compiles the untransposed terms of a whole block
-of entries once, and every cut reads them with its modes swapped.
+:class:`EntryPlan` therefore compiles the untransposed terms of the entries
+of one selection of monomials once, and every cut reads them with its modes
+swapped.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import ExponentLimitError
-from .multiindex import MonomialIndex, binomial_table, count_up_to_weight, monomial_at
+from .multiindex import MonomialIndex, binomial_table, monomial_at
 
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
 # factorial growth would dwarf double precision instead of overflowing.
@@ -86,17 +87,17 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
     return {MonomialIndex(pairs): c for pairs, c in terms.items()}
 
 
-#: largest leading block whose plan is compiled once and shared by every selection
-SHARED_PLAN_SIZE = 512
+#: compiled plans kept; a 4-mode order-2 certify uses 10 (scan matrix, witnesses, pair minors)
+PLAN_CACHE_SIZE = 256
 
 
 class EntryPlan:
     """Untransposed normally ordered terms of every entry over a list of monomials.
 
     Entry ``(s, t)`` is ``<(row s)^dagger (row t)>`` and has id ``s * size + t``.
-    Its terms are ``coefficients[j]`` times the moment with packed key
-    ``keys[j]`` for ``offsets[id] <= j < offsets[id + 1]``.  Transposing mode
-    ``i`` swaps key columns ``2i - 2`` and ``2i - 1`` with the coefficients
+    Term ``j`` is ``coefficients[j]`` times the moment with packed key
+    ``keys[j]`` and belongs to entry ``entry[j]``.  Transposing mode ``i``
+    swaps key columns ``2i - 2`` and ``2i - 1`` with the coefficients
     unchanged, so one plan serves every cut.  Arrays are read-only.
     Coefficients are float64 products of the exact per-mode integers, exact
     while they stay below 2**53.
@@ -132,26 +133,13 @@ class EntryPlan:
             entry = entry[parent]
             coefficients = coefficients[parent] * weights[factor]
             columns = [c[parent] for c in columns] + [annihilated[factor], created[factor]]
+        self.entry = entry
         self.coefficients = coefficients
         self.keys = np.stack(columns, axis=1)
-        self.offsets = np.searchsorted(entry, np.arange(self.size * self.size + 1))
         self.binomials = binomial_table(2 * modes, int(self.keys.sum(axis=1).max()))
-        for array in (self.coefficients, self.keys, self.offsets, self.binomials):
+        for array in (self.entry, self.coefficients, self.keys, self.binomials):
             array.setflags(write=False)
         self._monomials: dict[int, MonomialIndex] = {}
-
-    def select(self, rows: np.ndarray):
-        """Terms of the sub-block on ``rows`` (0-based), grouped by sub-block entry.
-
-        Returns ``(entry, coefficients, keys)`` with entry ids ``s * len(rows) + t``.
-        """
-        ids = (rows[:, None] * self.size + rows[None, :]).ravel()
-        first = self.offsets[ids]
-        counts = self.offsets[ids + 1] - first
-        ends = np.cumsum(counts)
-        terms = np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
-        entry = np.repeat(np.arange(ids.size), counts)
-        return entry, self.coefficients[terms], self.keys[terms]
 
     def monomial(self, position: int, packed) -> MonomialIndex:
         """Key object for ``position`` given its packed exponents, memoized."""
@@ -161,22 +149,7 @@ class EntryPlan:
         return key
 
 
-def plan_for(modes: int, positions) -> tuple[EntryPlan, np.ndarray]:
-    """Plan covering the 1-based ``positions`` and the plan rows they occupy.
-
-    The plan for a weight cap is the leading block of every monomial up to
-    that weight, compiled once and shared, while that block stays within
-    ``SHARED_PLAN_SIZE`` and ``MAX_EXPONENT``; past either bound only the
-    selected monomials are compiled.
-    """
-    cap = monomial_at(modes, positions[-1]).weight
-    if cap <= MAX_EXPONENT and count_up_to_weight(2 * modes, cap) <= SHARED_PLAN_SIZE:
-        return _shared_plan(modes, cap), np.asarray(positions) - 1
-    monomials = [monomial_at(modes, p) for p in positions]
-    return EntryPlan(modes, monomials), np.arange(len(positions))
-
-
-@lru_cache(maxsize=8)
-def _shared_plan(modes: int, cap: int) -> EntryPlan:
-    size = count_up_to_weight(2 * modes, cap)
-    return EntryPlan(modes, [monomial_at(modes, p) for p in range(1, size + 1)])
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def plan_for(modes: int, positions: tuple[int, ...]) -> EntryPlan:
+    """Plan over exactly the monomials at the 1-based ``positions``, cached per selection."""
+    return EntryPlan(modes, [monomial_at(modes, p) for p in positions])

@@ -110,24 +110,25 @@ def random_monomial(rng, modes, max_weight=3):
     return MonomialIndex(tuple(pairs))
 
 
-def _coherent_entire(gamma, cutoff):
+def _coherent_entire(gammas, cutoff):
     """Coherent amplitudes without the exp(-|gamma|^2 / 2) normalization.
 
-    The dropped Gaussian is reinstated analytically inside the completed
-    square of :func:`noisy_wstate_density`, keeping ``quad`` exactness.
+    One row per amplitude in ``gammas``.  The dropped Gaussian is reinstated
+    analytically inside the completed square of :func:`noisy_wstate_density`,
+    keeping ``quad`` exactness.
     """
-    amps = np.zeros(cutoff, dtype=complex)
-    amps[0] = 1.0
+    amps = np.ones((len(gammas), cutoff), dtype=complex)
     for m in range(1, cutoff):
-        amps[m] = amps[m - 1] * gamma / math.sqrt(m)
+        amps[:, m] = amps[:, m - 1] * gammas / math.sqrt(m)
     return amps
 
 
 def _branch_entire(betas, flipped, cutoffs):
-    vec = np.ones(1, dtype=complex)
+    """Product kets, one row per grid point, with mode ``flipped`` sign-flipped."""
+    vec = np.ones((len(betas[0]), 1), dtype=complex)
     for m, (beta, c) in enumerate(zip(betas, cutoffs)):
-        amp = -beta if m == flipped else beta
-        vec = np.kron(vec, _coherent_entire(amp, c))
+        amps = _coherent_entire(-beta if m == flipped else beta, c)
+        vec = (vec[:, :, None] * amps[:, None, :]).reshape(len(vec), -1)
     return vec
 
 
@@ -161,13 +162,10 @@ def noisy_wstate_density(alphas, nbars, cutoff, quad=12):
     rho = np.zeros((dim, dim), dtype=complex)
     for start in range(0, len(wflat), 4096):
         stop = min(start + 4096, len(wflat))
+        betas = [flat[2 * m][start:stop] + 1j * flat[2 * m + 1][start:stop] for m in range(n)]
         block = np.zeros((stop - start, dim), dtype=complex)
-        for g in range(start, stop):
-            betas = [complex(flat[2 * m][g], flat[2 * m + 1][g]) for m in range(n)]
-            psi = np.zeros(dim, dtype=complex)
-            for i in range(n):
-                psi += _branch_entire(betas, i, cutoffs)
-            block[g - start] = psi
+        for i in range(n):
+            block += _branch_entire(betas, i, cutoffs)
         rho += (block.T * wflat[start:stop]) @ block.conj()
     return rho / np.trace(rho).real
 

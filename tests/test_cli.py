@@ -155,6 +155,15 @@ class TestMomentsGen:
         assert max(weights) == 3
         assert min(weights) == 0
 
+    def test_overflowing_amplitudes_are_a_data_error(self):
+        code, out, err = invoke(
+            ["moments-gen", "--state", "coherent", "--gamma=1e200,1", "--order", "4"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "coherent(1e+200,1)" in err
+
     def test_output_is_deterministic(self):
         argv = ["moments-gen", "--state", "wstate", "--alpha", "0.3", "--modes", "3", "--order", "2"]
         first = invoke(argv)
@@ -227,6 +236,24 @@ class TestScan:
         assert finding["R"] == [2, 4]
         assert finding["det"] == pytest.approx(-math.sinh(0.6) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("order", ["2", "3"])
+    def test_default_order_clamps_four_mode_table(self, tmp_path, order):
+        # The clamped order-1 budget must not ask for the weight-4 pair-minor moments.
+        path = write_table(
+            tmp_path,
+            "coh4.json",
+            ["moments-gen", "--state", "coherent", "--gamma=0.5,0.3,0.2,0.1", "--order", order],
+        )
+        code, out, err = invoke(["scan", "--moments", str(path)])
+        assert code == EXIT_NO_NEGATIVITY, err
+        report = json.loads(out)
+        assert report["budget"]["max_order"] == 1
+        assert report["findings"] == []
+        assert len(report["inconclusive"]) == 7
+        code, out, err = invoke(["certify", "--moments", str(path)])
+        assert code == EXIT_NO_CERTIFICATE, err
+        assert json.loads(out)["certificate"] is False
+
     def test_report_written_to_file(self, tmp_path):
         table = write_table(
             tmp_path,
@@ -291,6 +318,7 @@ class TestCertify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert "coherent(1e+" in err
 
     def test_moments_file_input(self, tmp_path):
         path = write_table(

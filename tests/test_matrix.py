@@ -30,12 +30,12 @@ from ptmoments import (
     load_moment_table,
     moment_table_to_json,
     named_minor,
-    negativity_threshold,
     position_of,
     principal_minor,
     table_from_provider,
     TableMoments,
 )
+from ptmoments.matrix import negativity_threshold
 
 
 def idx(*pairs):
@@ -155,7 +155,8 @@ class TestBuildMatrix:
 
 
 class TestPlanEquivalence:
-    """build_matrix against entries evaluated one by one from entry_expression_pt."""
+    """build_matrix against entries evaluated one by one from entry_expression_pt,
+    and every sub-selection bitwise against the scan matrix's sub-block."""
 
     @staticmethod
     def reference(provider, transposed, selection):
@@ -189,11 +190,15 @@ class TestPlanEquivalence:
             ]
             for cut in canonical_bipartitions(n):
                 for transposed in (cut, cut.complement()):
+                    scan = build_matrix(prov, transposed, selections[0]).values
                     for selection in selections:
                         got = build_matrix(prov, transposed, selection).values
                         want = self.reference(prov, transposed, selection)
                         scale = np.max(np.abs(want))
                         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+                        # Each selection compiles its own plan; entries must not depend on it.
+                        rows = np.array(selection.positions) - 1
+                        assert np.array_equal(got, scan[np.ix_(rows, rows)])
 
     def test_selection_beyond_the_shared_plan(self):
         # Far positions are compiled for the selected monomials only.

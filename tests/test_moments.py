@@ -196,11 +196,11 @@ class TestWStateNoisy:
             assert prov.moment(key) == pytest.approx(want, abs=1e-8), str(key)
 
     def test_quadrature_refinement_stable(self):
-        params = WStateParams.symmetric(3, 0.5, 0.07)
-        coarse = WStateMoments(params)
-        fine = WStateMoments(params, quad_points=24)
         for key in (idx((1, 1), (0, 0), (0, 0)), idx((0, 1), (0, 1), (2, 0))):
-            assert coarse.moment(key) == pytest.approx(fine.moment(key), abs=1e-10)
+            for (k, l), overlap in itertools.product(key.pairs, (False, True)):
+                coarse = _gaussian_moment(0.5 + 0j, 0.07, k, l, overlap)
+                fine = _gaussian_moment(0.5 + 0j, 0.07, k, l, overlap, 24)
+                assert coarse == pytest.approx(fine, abs=1e-10)
 
     def test_small_noise_limit(self):
         params0 = WStateParams.symmetric(2, 0.4)
