@@ -17,17 +17,14 @@ from .transpositions import (
     Decomposition,
     TranspositionSet,
     all_decompositions,
-    bipartitions_coarsening,
     canonical_bipartitions,
+    coarsens,
 )
 
 INCONCLUSIVE_NOTE = (
     "inconclusive bipartitions mean no negativity was found within the "
     "finite search budget; this never implies separability"
 )
-
-#: largest mode count for which separability classes are enumerated exhaustively
-EXCLUSION_MODE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -87,14 +84,7 @@ class CertificationReport:
     outcomes: tuple[BipartitionOutcome, ...]
     certificate: bool
     excluded: tuple[Decomposition, ...]
-    note: str = INCONCLUSIVE_NOTE
-
-    def outcome_for(self, transposed: TranspositionSet) -> BipartitionOutcome:
-        wanted = transposed.canonical()
-        for outcome in self.outcomes:
-            if outcome.transposition == wanted:
-                return outcome
-        raise KeyError(f"no outcome recorded for {transposed}")
+    note = INCONCLUSIVE_NOTE
 
     def as_dict(self) -> dict:
         return {
@@ -147,9 +137,11 @@ def certify_full(provider, budget: SearchBudget | None = None, *,
                  tol: float = 1e-9) -> CertificationReport:
     """Test every canonical bipartition and grant or refuse the certificate.
 
-    The excluded separability classes are all mode decompositions whose
-    every coarsening to a bipartition tested NPT; with the certificate in
-    hand that is every decomposition with at least two parts.
+    A state separable over a mode decomposition has a non-negative partial
+    transpose across every cut that coarsens it, so the excluded separability
+    classes are the decompositions (with at least two parts) that no
+    inconclusive cut coarsens.  With the certificate in hand that is every
+    decomposition.  The rule holds at every mode count.
     """
     budget = budget or SearchBudget()
     modes = provider.modes
@@ -157,20 +149,17 @@ def certify_full(provider, budget: SearchBudget | None = None, *,
         test_bipartition(provider, cut, budget, tol=tol)
         for cut in canonical_bipartitions(modes)
     )
-    npt_cuts = {o.transposition for o in outcomes if o.npt}
-    certificate = len(npt_cuts) == len(outcomes)
-    excluded = []
-    if modes <= EXCLUSION_MODE_LIMIT:
-        for decomposition in all_decompositions(modes):
-            cuts = bipartitions_coarsening(decomposition)
-            if cuts and all(cut in npt_cuts for cut in cuts):
-                excluded.append(decomposition)
+    open_cuts = [o.transposition for o in outcomes if not o.npt]
+    excluded = tuple(
+        decomposition for decomposition in all_decompositions(modes)
+        if not any(coarsens(cut, decomposition) for cut in open_cuts)
+    )
     return CertificationReport(
         modes=modes,
         budget=budget,
         outcomes=outcomes,
-        certificate=certificate,
-        excluded=tuple(excluded),
+        certificate=not open_cuts,
+        excluded=excluded,
     )
 
 

@@ -33,6 +33,7 @@ from .errors import (
     UnresolvedMomentsError,
 )
 from .moments import (
+    TABLE_TOLERANCE,
     CoherentProductMoments,
     FockStateMoments,
     TableMoments,
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--order", type=int, default=None,
                      help="tabulate all moments of weight up to this order (default 2)")
     gen.add_argument("--tol", type=float, default=None,
-                     help="tolerance recorded in the table (default 1e-9)")
+                     help=f"tolerance recorded in the table (default {TABLE_TOLERANCE:g})")
     _add_common_options(gen)
     gen.set_defaults(func=_cmd_moments_gen)
 
@@ -263,14 +264,18 @@ def _write_out(args, text: str) -> None:
 def _cmd_moments_gen(args) -> int:
     provider = _provider_from_args(args)
     order = int(_get(args, "order", 2))
-    tolerance = float(_get(args, "tol", 1e-9))
+    tolerance = float(_get(args, "tol", TABLE_TOLERANCE))
     table = table_from_provider(provider, order, tolerance=tolerance)
     _write_out(args, moment_table_to_json(table) + "\n")
     return EXIT_OK
 
 
 def _clamped_order(args, table) -> int:
-    """Default scan order, lowered so a valid table never raises missing keys."""
+    """Default scan order: half the table's weight, clamped to 1..2.
+
+    A scan of order k needs moments of weight 2k, so a table must reach
+    weight 2 for any scan; an order-1 table still exits 4 naming the keys.
+    """
     if _get(args, "order", None) is not None:
         return int(args.order)
     return max(1, min(2, table.max_order // 2))

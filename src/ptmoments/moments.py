@@ -22,7 +22,8 @@ import numpy as np
 from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
 from .multiindex import MonomialIndex, count_up_to_weight, monomial_at, position_of
 
-HERMITICITY_TOL = 1e-9
+#: default consistency tolerance a moment table records (identity moment, Hermitian partners)
+TABLE_TOLERANCE = 1e-9
 
 
 class MomentProvider:
@@ -380,7 +381,7 @@ def load_moment_table(source) -> MomentTable:
     modes = doc.get("modes")
     if not isinstance(modes, int) or modes < 1:
         raise MomentDataError("'modes' must be a positive integer")
-    tolerance = doc.get("tolerance", HERMITICITY_TOL)
+    tolerance = doc.get("tolerance", TABLE_TOLERANCE)
     if not isinstance(tolerance, (int, float)) or tolerance < 0:
         raise MomentDataError("'tolerance' must be a nonnegative number")
     raw = doc.get("entries")
@@ -449,7 +450,7 @@ def moment_table_to_json(table: MomentTable) -> str:
 
 
 def table_from_provider(provider: MomentProvider, order: int,
-                        tolerance: float = HERMITICITY_TOL) -> MomentTable:
+                        tolerance: float = TABLE_TOLERANCE) -> MomentTable:
     """Tabulate every moment of weight up to ``order`` from a provider."""
     entries = {}
     for pos in range(1, count_up_to_weight(2 * provider.modes, order) + 1):

@@ -4,9 +4,12 @@ A partial transposition is labelled by the subset of modes it transposes.
 A set and its complement always give the same test, so only the
 ``2^(n-1) - 1`` subsets avoiding the highest mode need to be checked.
 Decompositions (set partitions of the modes) are the vocabulary for
-reporting which separability classes a certification excludes: a
-decomposition is excluded when every bipartition that merges its parts into
-two groups (:func:`bipartitions_coarsening`) tested NPT.
+reporting which separability classes a certification excludes.  A cut
+coarsens a decomposition when every part lies on one side of it
+(:func:`coarsens`); a state separable over the decomposition has a
+non-negative partial transpose across every such cut.  So a decomposition
+is excluded exactly when no inconclusive cut coarsens it, at every mode
+count.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ class TranspositionSet:
     def empty(cls, modes: int) -> "TranspositionSet":
         return cls(modes, frozenset())
 
-    def is_empty(self) -> bool:
-        return not self.members
-
     def complement(self) -> "TranspositionSet":
         full = frozenset(range(1, self.modes + 1))
         return TranspositionSet(self.modes, full - self.members)
@@ -47,9 +47,6 @@ class TranspositionSet:
     def canonical(self) -> "TranspositionSet":
         """Of the pair {I, complement}, the one not containing the top mode."""
         return self.complement() if self.modes in self.members else self
-
-    def sort_key(self):
-        return (len(self.members), tuple(sorted(self.members)))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
@@ -94,15 +91,16 @@ class Decomposition:
     def of(cls, modes: int, *parts) -> "Decomposition":
         return cls(modes, tuple(frozenset(p) for p in parts))
 
-    @classmethod
-    def finest(cls, modes: int) -> "Decomposition":
-        return cls(modes, tuple(frozenset({i}) for i in range(1, modes + 1)))
-
     def sort_key(self):
         return (len(self.parts), tuple(tuple(sorted(p)) for p in self.parts))
 
     def __str__(self) -> str:
         return "{" + "|".join(",".join(str(i) for i in sorted(p)) for p in self.parts) + "}"
+
+
+def coarsens(cut: TranspositionSet, pi: Decomposition) -> bool:
+    """True when every part of ``pi`` lies inside ``cut.members`` or is disjoint from it."""
+    return all(part <= cut.members or part.isdisjoint(cut.members) for part in pi.parts)
 
 
 def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
@@ -112,17 +110,9 @@ def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
     separability conditions, so refuting all of them refutes
     ``pi``-separability.
     """
-    p = len(pi.parts)
-    if p < 2:
+    if len(pi.parts) < 2:
         raise ValueError("decomposition must have at least two parts")
-    out = []
-    for size in range(1, p):
-        for combo in combinations(range(p), size):
-            group = frozenset().union(*(pi.parts[i] for i in combo))
-            cand = TranspositionSet(pi.modes, group).canonical()
-            if cand not in out:
-                out.append(cand)
-    return sorted(out, key=TranspositionSet.sort_key)
+    return [cut for cut in canonical_bipartitions(pi.modes) if coarsens(cut, pi)]
 
 
 def all_decompositions(n: int) -> list[Decomposition]:

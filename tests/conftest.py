@@ -29,13 +29,6 @@ def coherent_vector(gamma, cutoff):
     return amps * math.exp(-abs(gamma) ** 2 / 2.0)
 
 
-def kron_all(mats):
-    out = np.ones((1, 1), dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
 def explicit_pt(rho, cutoffs, members):
     """Partial transpose written as an index swap on the dense matrix."""
     n = len(cutoffs)
@@ -46,28 +39,37 @@ def explicit_pt(rho, cutoffs, members):
     return np.ascontiguousarray(t.reshape(dim, dim))
 
 
-def direct_pt_entry(rho, cutoffs, row, col, members):
-    """Matrix entry tr(rho^{T_I} (row monomial)^dagger (col monomial)).
+def pt_trace(rho_pt, cutoffs, row, col):
+    """tr(rho_pt (row monomial)^dagger (col monomial)) for a given dense rho_pt.
 
-    No normal ordering: the operator product is multiplied out as dense
-    matrices and traced against the explicitly partially transposed density
-    matrix.
+    No normal ordering: each mode's operator product is multiplied out as a
+    dense matrix, and the trace against the product operator is contracted
+    mode by mode on the reshaped density tensor.
     """
-    rho_pt = explicit_pt(rho, cutoffs, members)
-    ops = []
+    n = len(cutoffs)
+    operands = [rho_pt.reshape(tuple(cutoffs) * 2), list(range(2 * n))]
     for i, c in enumerate(cutoffs):
         a = ladder(c)
         ad = a.conj().T
         k_r, l_r = row.pairs[i]
         k_c, l_c = col.pairs[i]
-        ops.append(
+        op = (
             np.linalg.matrix_power(ad, l_r)
             @ np.linalg.matrix_power(a, k_r)
             @ np.linalg.matrix_power(ad, k_c)
             @ np.linalg.matrix_power(a, l_c)
         )
-    big = kron_all(ops)
-    return complex(np.sum(rho_pt * big.T))
+        # tr(rho O) = sum over a, b of rho[a, b] * prod_i O_i[b_i, a_i]
+        operands += [op, [n + i, i]]
+    return complex(np.einsum(*operands, [], optimize=True))
+
+
+def direct_pt_entry(rho, cutoffs, row, col, members):
+    """Matrix entry tr(rho^{T_I} (row monomial)^dagger (col monomial)).
+
+    The partial transpose is the explicit index swap of :func:`explicit_pt`.
+    """
+    return pt_trace(explicit_pt(rho, cutoffs, members), cutoffs, row, col)
 
 
 def direct_moment(rho, cutoffs, key):
@@ -212,6 +214,21 @@ def random_coherent_mixture(rng, modes, max_amplitude=30.0):
     radii = max_amplitude * np.sqrt(rng.uniform(size=(count, modes)))
     phases = np.exp(2j * np.pi * rng.uniform(size=(count, modes)))
     return CoherentMixture(rng.dirichlet(np.ones(count)), radii * phases)
+
+
+def cuts_by_colouring(modes, parts):
+    """Members of the canonical cuts that merge ``parts`` into two groups.
+
+    Tries every 2-colouring of the parts and keeps the side without the top
+    mode; independent of the package's coarsening predicate.
+    """
+    everything = frozenset(range(1, modes + 1))
+    cuts = set()
+    for colours in itertools.product((False, True), repeat=len(parts)):
+        group = frozenset().union(*(p for p, c in zip(parts, colours) if c))
+        if group and group != everything:
+            cuts.add(everything - group if modes in group else group)
+    return cuts
 
 
 def min_principal_minor(values, max_size, *, chunk=100_000):

@@ -35,8 +35,10 @@ from conftest import (
     density_of,
     direct_pt_entry,
     evaluate_terms,
+    explicit_pt,
     min_principal_minor,
     padded_random_state,
+    pt_trace,
     random_monomial,
     tmsv_vector,
 )
@@ -116,11 +118,12 @@ def test_two_mode_squeezing_minor_matches_fock_oracle():
         # as an explicit index swap, operator products multiplied out.
         rho = density_of(tmsv_vector(r, cutoff))
         cutoffs = (cutoff, cutoff)
+        rho_pt = explicit_pt(rho, cutoffs, {2})
         rows = [monomial_at(2, p) for p in range(1, 6)]
         oracle = np.empty((5, 5), dtype=complex)
         for i in range(5):
             for j in range(i, 5):
-                oracle[i, j] = direct_pt_entry(rho, cutoffs, rows[i], rows[j], {2})
+                oracle[i, j] = pt_trace(rho_pt, cutoffs, rows[i], rows[j])
                 oracle[j, i] = oracle[i, j].conjugate()
         assert np.linalg.det(oracle).real == pytest.approx(target, rel=oracle_tol)
 

@@ -1,12 +1,15 @@
 """Bipartition testing, full certification, exclusions, and parameter sweeps."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import random_coherent_mixture, tmsv_vector
+from conftest import cuts_by_colouring, random_coherent_mixture, tmsv_vector
 from ptmoments import (
+    BipartitionOutcome,
     CoherentProductMoments,
     Decomposition,
     FockStateMoments,
@@ -192,13 +195,6 @@ class TestCertifyFull:
             report = certify_full(random_coherent_mixture(rng, modes), budget)
             assert not any(outcome.npt for outcome in report.outcomes)
 
-    def test_outcome_for_canonicalizes(self):
-        report = certify_full(wstate(0.3))
-        outcome = report.outcome_for(TranspositionSet.of(4, 4))
-        assert outcome.transposition == TranspositionSet.of(4, 1, 2, 3)
-        with pytest.raises(KeyError):
-            report.outcome_for(TranspositionSet.empty(4))
-
     def test_as_dict(self):
         doc = certify_full(TmsvMoments(0.4)).as_dict()
         assert set(doc) == {
@@ -212,6 +208,45 @@ class TestCertifyFull:
         assert doc["certificate"] is True
         assert doc["bipartitions"][0]["I"] == [1]
         assert doc["excluded_decompositions"] == ["{1|2}"]
+
+
+class TestExclusion:
+    """Excluded decompositions follow from the cut verdicts alone, at any mode count."""
+
+    @staticmethod
+    def certify_with_verdicts(monkeypatch, modes, open_cuts):
+        def fixed(provider, cut, budget, *, tol):
+            verdict = "inconclusive" if cut.members in open_cuts else "NPT"
+            return BipartitionOutcome(cut, verdict, None, None)
+
+        monkeypatch.setattr("ptmoments.certify.test_bipartition", fixed)
+        return certify_full(SimpleNamespace(modes=modes))
+
+    @staticmethod
+    def patterns(modes):
+        cuts = [cut.members for cut in canonical_bipartitions(modes)]
+        if modes <= 4:
+            for flags in itertools.product((False, True), repeat=len(cuts)):
+                yield {c for c, is_open in zip(cuts, flags) if is_open}
+            return
+        rng = np.random.default_rng(modes)
+        for _ in range(200):
+            count = int(rng.integers(0, len(cuts) + 1))
+            yield {cuts[i] for i in rng.choice(len(cuts), size=count, replace=False)}
+
+    @pytest.mark.parametrize("modes", [3, 4, 5, 6])
+    def test_matches_two_colouring_oracle(self, monkeypatch, modes):
+        coarsening = {d: cuts_by_colouring(modes, d.parts) for d in all_decompositions(modes)}
+        for open_cuts in self.patterns(modes):
+            report = self.certify_with_verdicts(monkeypatch, modes, open_cuts)
+            expected = [d for d, cuts in coarsening.items() if cuts.isdisjoint(open_cuts)]
+            assert list(report.excluded) == expected
+            assert report.certificate == (not open_cuts)
+
+    def test_seven_mode_certificate_excludes_every_splitting(self, monkeypatch):
+        report = self.certify_with_verdicts(monkeypatch, 7, set())
+        assert report.certificate
+        assert len(report.excluded) == 876  # Bell(7) - 1
 
 
 class TestPairGroups:

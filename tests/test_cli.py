@@ -254,6 +254,21 @@ class TestScan:
         assert code == EXIT_NO_CERTIFICATE, err
         assert json.loads(out)["certificate"] is False
 
+    def test_order_one_table_lacks_the_weight_two_moments(self, tmp_path):
+        # The smallest scan (order 1) needs weight-2 moments, which an
+        # order-1 table does not hold.
+        path = write_table(
+            tmp_path,
+            "coh1.json",
+            ["moments-gen", "--state", "coherent", "--gamma=0.5,0.3", "--order", "1"],
+        )
+        missing = "a1^2, ad1 a1, ad1^2, a1 a2, ad1 a2, a2^2, ad2 a1, ad1 ad2, ad2 a2, ad2^2"
+        for command in ("scan", "certify"):
+            code, out, err = invoke([command, "--moments", str(path)])
+            assert code == EXIT_MISSING_MOMENTS
+            assert out == ""
+            assert err == f"error: moments unresolved for keys: {missing}\n"
+
     def test_report_written_to_file(self, tmp_path):
         table = write_table(
             tmp_path,

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import cuts_by_colouring
 from ptmoments import (
     Decomposition,
     TranspositionSet,
@@ -44,15 +45,6 @@ class TestTranspositionSet:
         assert tset(4, 2, 3, 4).canonical() == tset(4, 1)
         assert tset(2, 1, 2).canonical() == TranspositionSet.empty(2)
 
-    def test_is_empty(self):
-        assert TranspositionSet.empty(5).is_empty()
-        assert not tset(5, 2).is_empty()
-
-    def test_sort_key_orders_by_size_then_lex(self):
-        sets = [tset(3, 2), tset(3, 1, 2), tset(3, 1), tset(3, 3)]
-        ordered = sorted(sets, key=TranspositionSet.sort_key)
-        assert [str(t) for t in ordered] == ["{1}", "{2}", "{3}", "{1,2}"]
-
 
 class TestCanonicalBipartitions:
     def test_two_modes(self):
@@ -87,7 +79,7 @@ class TestCanonicalBipartitions:
         assert len(set(cuts)) == len(cuts)
         for t in cuts:
             assert t.canonical() == t
-            assert not t.is_empty()
+            assert t.members
 
     def test_complement_pairs_cover_everything(self):
         # Every nonempty proper subset of modes appears exactly once as a
@@ -120,9 +112,6 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             Decomposition.of(3, (1, 2), (2, 3))
 
-    def test_finest(self):
-        assert str(Decomposition.finest(3)) == "{1|2|3}"
-
     def test_all_decompositions_counts(self):
         # Number of partitions into >= 2 blocks: Bell(n) - 1.
         assert len(all_decompositions(3)) == 4
@@ -142,7 +131,7 @@ class TestCoarsening:
         assert got == {"{1}", "{2}", "{1,2}"}
 
     def test_finest_yields_all_bipartitions(self):
-        got = bipartitions_coarsening(Decomposition.finest(4))
+        got = bipartitions_coarsening(Decomposition.of(4, (1,), (2,), (3,), (4,)))
         assert got == canonical_bipartitions(4)
 
     def test_every_cut_separates_whole_blocks(self):
@@ -152,3 +141,10 @@ class TestCoarsening:
                 for part in d.parts:
                     inside = members.intersection(part)
                     assert not inside or inside == set(part)
+
+    @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
+    def test_matches_every_colouring_of_the_parts(self, modes):
+        for d in all_decompositions(modes):
+            got = bipartitions_coarsening(d)
+            assert {cut.members for cut in got} == cuts_by_colouring(modes, d.parts)
+            assert got == [cut for cut in canonical_bipartitions(modes) if cut in got]
