@@ -32,15 +32,19 @@ from ptmoments import test_bipartition as probe_bipartition
 
 
 def main():
+    with tempfile.TemporaryDirectory() as directory:
+        run(Path(directory) / "measured.json")
+
+
+def run(path):
     # --- the "experiment": tabulate moments up to fourth order -------------
     source = TmsvMoments(0.6)
     table = table_from_provider(source, 4)
     text = moment_table_to_json(table)
-    path = Path(tempfile.mkdtemp()) / "measured.json"
     path.write_text(text)
     doc = json.loads(text)
     print(f"Tabulated {len(doc['entries'])} moments for {doc['modes']} modes")
-    print(f"  file: {path}")
+    print(f"  file: {path.name}")
     photon = next(e for e in doc["entries"] if e["k"] == [1, 0] and e["l"] == [1, 0])
     anomalous = next(e for e in doc["entries"] if e["k"] == [1, 1] and e["l"] == [0, 0])
     print(f"  photon number entry:    {photon}")

@@ -17,7 +17,6 @@ from .errors import (
     MomentDataError,
     NumericError,
     ResourceLimitError,
-    UnresolvedMomentsError,
 )
 from .multiindex import (
     MonomialIndex,
@@ -129,8 +128,9 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     """Evaluate the moment matrix for ``selection`` under partial transposition.
 
     Entries are gathered from the selection's compiled entry plan (see
-    :func:`~ptmoments.operator_algebra.plan_for`) with the transposed modes'
-    exponents swapped, and each distinct moment is fetched once.
+    :func:`~ptmoments.operator_algebra.plan_for`): the plan's distinct keys
+    are ranked with the transposed modes' exponents swapped and their moments
+    fetched from the provider in one call.
     Both triangles are computed independently, the Hermiticity defect is
     recorded, and the matrix is symmetrized as (m + m†)/2.  Any moments the
     provider cannot resolve are aggregated into a single error listing every
@@ -144,23 +144,13 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
         swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
     keys = plan.keys[:, swap]
     positions = packed_positions(keys, plan.binomials)
-    unique, first, inverse = np.unique(positions, return_index=True, return_inverse=True)
-    moments = np.empty(unique.size, dtype=complex)
-    missing: list[MonomialIndex] = []
-    for i, (position, at) in enumerate(zip(unique.tolist(), first.tolist())):
-        key = plan.monomial(position, keys[at])
-        try:
-            moments[i] = provider.moment(key)
-        except UnresolvedMomentsError:
-            missing.append(key)
-    if missing:
-        raise UnresolvedMomentsError(missing)
+    moments = provider.moments_at(positions, keys)
     if not np.all(np.isfinite(moments)):
         raise NumericError(f"moments of {getattr(provider, 'label', 'provider')} are not finite")
     # Sum every entry's terms in position order, which keeps matrices bitwise stable.
-    order = np.argsort(plan.entry * (int(unique[-1]) + 1) + positions)
+    order = np.argsort(plan.entry * (int(positions.max()) + 1) + positions[plan.key_index])
     entry = plan.entry[order]
-    terms = plan.coefficients[order] * moments[inverse[order]]
+    terms = plan.coefficients[order] * moments[plan.key_index[order]]
     n = len(selection)
     values = np.empty(n * n, dtype=complex)
     values.real = np.bincount(entry, weights=terms.real, minlength=n * n)

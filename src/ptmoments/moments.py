@@ -1,7 +1,11 @@
 """Sources of normally ordered moments ``<ad^k a^l>`` of concrete states.
 
-Providers are immutable after construction and cache every computed moment,
-so they can be shared read-only across concurrent evaluations.  Besides the
+Providers are immutable after construction apart from one cache of computed
+moments, keyed by the position of the moment's monomial in the graded
+sequence and shared by :meth:`MomentProvider.moment` and
+:meth:`MomentProvider.moments_at`.  A position enters the cache only together
+with its value, so providers can be shared across concurrent evaluations.
+Only the keys asked for are ever computed.  Besides the
 analytic states (coherent products, two-mode squeezed vacuum, the noisy
 W-type superposition of sign-flipped coherent states) there is a provider
 for explicit truncated-Fock kets or density matrices, computed by direct
@@ -35,16 +39,41 @@ class MomentProvider:
         if modes < 1:
             raise ValueError("mode count must be >= 1")
         self.modes = modes
-        self._cache: dict[MonomialIndex, complex] = {}
+        # Computed moments by 1-based position; a position enters with its value.
+        self._values: dict[int, complex] = {}
 
     def moment(self, key: MonomialIndex) -> complex:
         """Normally ordered moment for ``key``; identity is always 1."""
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
-        value = self._cache.get(key)
+        position = position_of(key)
+        value = self._values.get(position)
         if value is None:
-            value = self._cache[key] = complex(self._compute(key))
+            value = self._values[position] = complex(self._compute(key))
         return value
+
+    def moments_at(self, positions: np.ndarray, packed: np.ndarray) -> np.ndarray:
+        """Moments at distinct 1-based ``positions``, whose packed keys are the rows of ``packed``.
+
+        Each position not yet cached is computed once, in position order;
+        keys the provider cannot resolve are aggregated into one
+        :class:`UnresolvedMomentsError`.
+        """
+        at = positions.tolist()
+        values = self._values
+        new = sorted(set(at).difference(values))
+        if new:
+            row = dict(zip(at, range(len(at))))
+            missing = []
+            for position in new:
+                key = MonomialIndex.unpack(tuple(packed[row[position]].tolist()))
+                try:
+                    values[position] = complex(self._compute(key))
+                except UnresolvedMomentsError:
+                    missing.append(key)
+            if missing:
+                raise UnresolvedMomentsError(missing)
+        return np.fromiter(map(values.__getitem__, at), dtype=complex, count=len(at))
 
     def _compute(self, key: MonomialIndex) -> complex:
         raise NotImplementedError
@@ -360,9 +389,10 @@ def load_moment_table(source) -> MomentTable:
     """Parse and validate the JSON moment-table format.
 
     The document is ``{"modes": n, "tolerance": t, "entries": [...]}`` with
-    each entry ``{"k": [...], "l": [...], "re": x, "im": y}``.  Values must be
-    finite.  The identity entry must be present with value 1 within
-    tolerance; Hermitian partners
+    each entry ``{"k": [...], "l": [...], "re": x, "im": y}``.  ``modes``,
+    ``k`` and ``l`` must be JSON integers; ``tolerance``, ``re`` and ``im``
+    finite JSON numbers (bools are neither).  The identity entry must be
+    present with value 1 within tolerance; Hermitian partners
     are checked against each other and filled in by conjugation when absent.
     """
     if hasattr(source, "read"):
@@ -379,11 +409,9 @@ def load_moment_table(source) -> MomentTable:
     if unknown:
         raise MomentDataError(f"unknown moment-table keys: {sorted(unknown)}")
     modes = doc.get("modes")
-    if not isinstance(modes, int) or modes < 1:
+    if not _is_int(modes) or modes < 1:
         raise MomentDataError("'modes' must be a positive integer")
-    tolerance = doc.get("tolerance", TABLE_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or tolerance < 0:
-        raise MomentDataError("'tolerance' must be a nonnegative number")
+    tolerance = _tolerance(doc.get("tolerance", TABLE_TOLERANCE))
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise MomentDataError("'entries' must be a list")
@@ -399,7 +427,8 @@ def load_moment_table(source) -> MomentTable:
             raise MomentDataError(
                 f"'k' and 'l' must be lists of {modes} nonnegative integers: {item}"
             )
-        value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        value = complex(*(_number(item.get(part, 0.0), f"'{part}' of k={k}, l={l}")
+                          for part in ("re", "im")))
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise MomentDataError(f"moment value for k={k}, l={l} is not finite: {value}")
         key = MonomialIndex(tuple(zip(k, l)))
@@ -422,15 +451,38 @@ def load_moment_table(source) -> MomentTable:
                 )
         else:
             entries[partner] = entries[key].conjugate()
-    return MomentTable(modes=modes, tolerance=float(tolerance), entries=entries)
+    return MomentTable(modes=modes, tolerance=tolerance, entries=entries)
 
 
 def _exponent_list(value, modes: int) -> bool:
     return (
         isinstance(value, list)
         and len(value) == modes
-        and all(isinstance(x, int) and x >= 0 for x in value)
+        and all(_is_int(x) and x >= 0 for x in value)
     )
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bools are ints to Python but not to the table format."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tolerance(value) -> float:
+    """A table tolerance: a finite nonnegative JSON number."""
+    tolerance = _number(value, "'tolerance'")
+    if not 0 <= tolerance < math.inf:
+        raise MomentDataError("'tolerance' must be a finite nonnegative number")
+    return tolerance
+
+
+def _number(value, name: str) -> float:
+    """A JSON number (int or float, not a bool) as a float; otherwise name the field."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise MomentDataError(f"{name} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise MomentDataError(f"{name} is out of range") from None
 
 
 def moment_table_to_json(table: MomentTable) -> str:
@@ -452,10 +504,11 @@ def moment_table_to_json(table: MomentTable) -> str:
 def table_from_provider(provider: MomentProvider, order: int,
                         tolerance: float = TABLE_TOLERANCE) -> MomentTable:
     """Tabulate every moment of weight up to ``order`` from a provider."""
-    entries = {}
-    for pos in range(1, count_up_to_weight(2 * provider.modes, order) + 1):
-        key = monomial_at(provider.modes, pos)
-        entries[key] = provider.moment(key)
+    tolerance = _tolerance(tolerance)
+    positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
+    keys = [monomial_at(provider.modes, p) for p in positions.tolist()]
+    values = provider.moments_at(positions, np.array([key.pack() for key in keys]))
+    entries = dict(zip(keys, values.tolist()))
     return MomentTable(modes=provider.modes, tolerance=tolerance, entries=entries)
 
 

@@ -220,18 +220,19 @@ def binomial_table(d: int, max_weight: int) -> np.ndarray:
 def packed_positions(packed: np.ndarray, binomials: np.ndarray) -> np.ndarray:
     """:func:`position_of` for every row of an integer array of packed multi-indices.
 
-    With ``S`` the running sums of a row, the same-weight indices preceding
+    With ``S`` the running sum of a row, the same-weight indices preceding
     it number ``sum_c C(S_c + c, c) - C(S_(c-1) + c, c)`` over coordinates
     ``c >= 1`` (the hockey-stick sum of the terms :func:`position_of` adds one
-    at a time).  ``binomials`` comes from :func:`binomial_table` with at least
-    the largest row weight.
+    at a time), accumulated one coordinate at a time so that temporaries stay
+    one value per row.  ``binomials`` comes from :func:`binomial_table` with
+    at least the largest row weight.
     """
     d = packed.shape[1]
-    sums = np.cumsum(packed, axis=1)
-    coords = np.arange(1, d)
-    rank = np.sum(
-        binomials[sums[:, 1:] + coords, coords] - binomials[sums[:, :-1] + coords, coords],
-        axis=1,
-    )
+    total = packed[:, 0].astype(np.int64)
+    rank = np.zeros(len(packed), dtype=np.int64)
+    for c in range(1, d):
+        rank -= binomials[total + c, c]
+        total += packed[:, c]
+        rank += binomials[total + c, c]
     # C(w - 1 + d, d) indices have weight below w (zero when w = 0).
-    return binomials[sums[:, -1] + d - 1, d] + rank + 1
+    return binomials[total + d - 1, d] + rank + 1

@@ -12,8 +12,8 @@ ordered moments.  Partially transposing a mode rearranges the four exponents
 of its factor to ``ad^q a^p ad^k a^l``, which reduces to the same terms with
 that mode's creation and annihilation exponents swapped.  An
 :class:`EntryPlan` therefore compiles the untransposed terms of the entries
-of one selection of monomials once, and every cut reads them with its modes
-swapped.
+of one selection of monomials once, keeping each distinct moment key once,
+and every cut reads those keys with its modes swapped.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import ExponentLimitError
-from .multiindex import MonomialIndex, binomial_table, monomial_at
+from .multiindex import MonomialIndex, binomial_table, monomial_at, packed_positions
 
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
 # factorial growth would dwarf double precision instead of overflowing.
@@ -96,9 +96,11 @@ class EntryPlan:
 
     Entry ``(s, t)`` is ``<(row s)^dagger (row t)>`` and has id ``s * size + t``.
     Term ``j`` is ``coefficients[j]`` times the moment with packed key
-    ``keys[j]`` and belongs to entry ``entry[j]``.  Transposing mode ``i``
-    swaps key columns ``2i - 2`` and ``2i - 1`` with the coefficients
-    unchanged, so one plan serves every cut.  Arrays are read-only.
+    ``keys[key_index[j]]`` and belongs to entry ``entry[j]``; terms are
+    grouped by entry.  ``keys`` holds each distinct packed key once, in
+    position order.  Transposing mode ``i`` swaps key columns ``2i - 2`` and
+    ``2i - 1`` with the coefficients unchanged, so one plan serves every cut
+    and a cut ranks only the distinct keys.  Arrays are read-only.
     Coefficients are float64 products of the exact per-mode integers, exact
     while they stay below 2**53.
     """
@@ -135,21 +137,23 @@ class EntryPlan:
             columns = [c[parent] for c in columns] + [annihilated[factor], created[factor]]
         self.entry = entry
         self.coefficients = coefficients
-        self.keys = np.stack(columns, axis=1)
-        self.binomials = binomial_table(2 * modes, int(self.keys.sum(axis=1).max()))
-        for array in (self.entry, self.coefficients, self.keys, self.binomials):
+        # The heaviest term of an entry has the weight of its row and column.
+        self.binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
+        keys = np.stack(columns, axis=1)
+        del columns  # free the per-column copies before ranking
+        _, first, self.key_index = np.unique(
+            packed_positions(keys, self.binomials), return_index=True, return_inverse=True
+        )
+        self.keys = keys[first]
+        for array in (self.entry, self.coefficients, self.keys, self.key_index, self.binomials):
             array.setflags(write=False)
-        self._monomials: dict[int, MonomialIndex] = {}
-
-    def monomial(self, position: int, packed) -> MonomialIndex:
-        """Key object for ``position`` given its packed exponents, memoized."""
-        key = self._monomials.get(position)
-        if key is None:
-            key = self._monomials[position] = MonomialIndex.unpack(tuple(packed.tolist()))
-        return key
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def plan_for(modes: int, positions: tuple[int, ...]) -> EntryPlan:
-    """Plan over exactly the monomials at the 1-based ``positions``, cached per selection."""
+    """Plan over exactly the monomials at the 1-based ``positions``, cached per selection.
+
+    Compiling ranks every term once; a cut then reranks only the plan's
+    distinct keys.
+    """
     return EntryPlan(modes, [monomial_at(modes, p) for p in positions])

@@ -164,6 +164,15 @@ class TestMomentsGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "coherent(1e+200,1)" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_the_loader_rejects_is_refused(self, tol):
+        code, out, err = invoke(
+            ["moments-gen", "--state", "tmsv", "--r", "0.6", "--order", "2", f"--tol={tol}"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: 'tolerance' must be a finite nonnegative number\n"
+
     def test_output_is_deterministic(self):
         argv = ["moments-gen", "--state", "wstate", "--alpha", "0.3", "--modes", "3", "--order", "2"]
         first = invoke(argv)
@@ -386,6 +395,45 @@ class TestCertify:
         assert out == ""
         assert "k=[0, 0], l=[0, 0] is not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, where, value",
+        [
+            ("'re'", 1, None),
+            ("'re'", 1, [0.5]),
+            ("'re'", 1, "0.5"),
+            ("'re'", 1, True),
+            ("'im'", 1, None),
+            ("'tolerance'", None, math.nan),
+            ("'tolerance'", None, math.inf),
+            ("'tolerance'", None, True),
+            ("'modes'", None, True),
+            ("'k' and 'l'", 0, [False, 0]),
+        ],
+        ids=["re-null", "re-list", "re-string", "re-bool", "im-null", "tolerance-nan",
+             "tolerance-infinity", "tolerance-bool", "modes-bool", "k-bool"],
+    )
+    def test_malformed_table_field_named(self, tmp_path, field, where, value):
+        path = write_table(
+            tmp_path,
+            "tmsv4.json",
+            ["moments-gen", "--state", "tmsv", "--r", "0.6", "--order", "4"],
+        )
+        doc = json.loads(path.read_text())
+        name = field.split()[0].strip("'")
+        if where is None:
+            doc[name] = value
+        else:
+            doc["entries"][where][name] = value
+        # A non-finite tolerance must not let a broken normalization through.
+        doc["entries"][0]["re"] = 5.0 if name == "tolerance" else 1.0
+        path.write_text(json.dumps(doc))
+        for command in ("scan", "certify"):
+            code, out, err = invoke([command, "--moments", str(path)])
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith(f"error: {field}")
+            assert "Traceback" not in err
 
     def test_moments_and_state_mutually_exclusive(self, tmp_path):
         path = write_table(

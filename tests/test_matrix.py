@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +37,10 @@ from ptmoments import (
     principal_minor,
     table_from_provider,
     TableMoments,
+    TruncationError,
 )
 from ptmoments.matrix import negativity_threshold
+from ptmoments.operator_algebra import plan_for
 
 
 def idx(*pairs):
@@ -152,6 +157,63 @@ class TestBuildMatrix:
         eigs = matrix.eigenvalues()
         assert np.all(np.diff(eigs) >= 0)
         assert eigs.dtype.kind == "f"
+
+
+class TestAssemblyMemory:
+    def test_scan_matrix_peak_allocation(self):
+        # 4 modes, order 3: 165 rows and 36,155 plan terms.  A cut ranks and
+        # fetches only the plan's distinct keys, not a copy of every term's key.
+        prov = WStateMoments(WStateParams.symmetric(4, 0.3))
+        selection = Selection.up_to_weight(4, 3)
+        plan_for.cache_clear()
+        tracemalloc.start()
+        try:
+            build_matrix(prov, (1,), selection)
+            cold = tracemalloc.get_traced_memory()[1]
+            warm = []
+            for cut in canonical_bipartitions(4):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                build_matrix(prov, cut, selection)
+                warm.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            tracemalloc.stop()
+        mib = 2 ** 20
+        assert cold < 9 * mib
+        assert max(warm) < 5 * mib
+
+
+class TestSharedProvider:
+    def test_matrices_across_threads(self):
+        # Threads filling one provider's cache at once must read exactly the
+        # matrices a lone caller gets.
+        params = WStateParams((0.3, 0.25 + 0.1j, 0.35), (0.01, 0.0, 0.02))
+        selection = Selection.up_to_weight(3, 2)
+        cuts = [t for cut in canonical_bipartitions(3) for t in (cut, cut.complement())]
+        alone = WStateMoments(params)
+        want = {t: build_matrix(alone, t, selection).values for t in cuts}
+        shared = WStateMoments(params)
+        got = {}
+
+        def work(worker):
+            order = cuts[worker:] + cuts[:worker]
+            got[worker] = {t: build_matrix(shared, t, selection).values for t in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(got) == [0, 1, 2, 3]
+        for matrices in got.values():
+            for t, values in matrices.items():
+                assert np.array_equal(values, want[t])
 
 
 class TestPlanEquivalence:
@@ -392,6 +454,18 @@ class TestNamedMinor:
         prov = CoherentProductMoments((0.2, 0.3, 0.1, 0.4))
         minor = named_minor(prov, (1,), ((1, 2), (3, 4)))
         assert minor.verdict == "nonnegative"
+
+    def test_needs_only_its_own_keys(self):
+        # With one photon level per mode the pair minor's keys exist and the
+        # order-2 scan's do not: a failed scan must not stop the minor.
+        ket = np.zeros(16, dtype=complex)
+        ket[[1, 2, 4, 8]] = 0.5
+        prov = FockStateMoments(ket, (2, 2, 2, 2))
+        before = named_minor(prov, (1,), ((1, 2), (3, 4)))
+        with pytest.raises(TruncationError):
+            eigen_negativity_scan(prov, (1,), max_order=2)
+        after = named_minor(prov, (1,), ((1, 2), (3, 4)))
+        assert after.determinant == before.determinant
 
 
 class TestMinPrincipalMinor:

@@ -22,15 +22,20 @@ from ptmoments import (
     MomentDataError,
     MomentTable,
     MonomialIndex,
+    Selection,
     TableMoments,
     TmsvMoments,
     TruncationError,
     UnresolvedMomentsError,
     WStateMoments,
     WStateParams,
+    build_matrix,
+    canonical_bipartitions,
+    count_up_to_weight,
     load_moment_table,
     moment_table_to_json,
     monomial_at,
+    position_of,
     table_from_provider,
 )
 from ptmoments.moments import _gaussian_moment
@@ -180,6 +185,16 @@ class TestWStateNoiseless:
         for key in keys + keys:
             prov.moment(key)
         assert len(calls) == len(keys) + 1
+        # Matrices and single keys read one cache: each key is computed once.
+        scan = Selection.up_to_weight(3, 2)
+        for cut in canonical_bipartitions(3):
+            for transposed in (cut, cut.complement()):
+                build_matrix(prov, transposed, scan)
+                for key in keys[::3] + [monomial_at(3, p) for p in range(200, 211)]:
+                    prov.moment(key)
+        distinct = {position_of(key) for key in calls}
+        assert distinct == set(range(1, count_up_to_weight(6, 4) + 1))
+        assert len(calls) == len(distinct) + 1
         norm = unnormalized(MonomialIndex.identity(3))
         for key in keys:
             assert prov.moment(key) == complex(unnormalized(key) / norm)
