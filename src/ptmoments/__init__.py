@@ -54,7 +54,6 @@ from .multiindex import (
     monomial_at,
     nth_multiindex,
     position_of,
-    weight,
 )
 from .operator_algebra import (
     entry_expression_pt,
@@ -118,5 +117,4 @@ __all__ = [
     "sweep_to_csv",
     "table_from_provider",
     "test_bipartition",
-    "weight",
 ]

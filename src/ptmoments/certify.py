@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import matrix
 from .matrix import MinorResult, _as_transposition, eigen_negativity_scan, named_minor
+from .moments import _sig12
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -69,9 +71,7 @@ class BipartitionOutcome:
             "I": sorted(self.transposition.members),
             "verdict": self.verdict,
             "minor": self.minor.as_dict() if self.minor else None,
-            "min_eigenvalue": None
-            if self.min_eigenvalue is None
-            else float(f"{self.min_eigenvalue:.12g}"),
+            "min_eigenvalue": None if self.min_eigenvalue is None else _sig12(self.min_eigenvalue),
         }
 
 
@@ -97,8 +97,8 @@ class CertificationReport:
         }
 
 
-def test_bipartition(provider, transposed, budget: SearchBudget | None = None, *,
-                     tol: float = 1e-9) -> BipartitionOutcome:
+def test_bipartition(provider, transposed,
+                     budget: SearchBudget | None = None) -> BipartitionOutcome:
     """Search one transposition set for a negative principal minor."""
     budget = budget or SearchBudget()
     transposed = _as_transposition(transposed, provider.modes)
@@ -108,7 +108,8 @@ def test_bipartition(provider, transposed, budget: SearchBudget | None = None, *
             provider,
             transposed,
             budget.max_order,
-            tol=tol,
+            # Read per call, so the gate is the module's SCAN_TOL at run time.
+            tol=matrix.SCAN_TOL,
             max_minor_size=budget.max_minor_size,
         )
         min_eigenvalue = scan.min_eigenvalue
@@ -133,8 +134,7 @@ def _pair_combinations(modes: int):
         yield (a, d), (b, c)
 
 
-def certify_full(provider, budget: SearchBudget | None = None, *,
-                 tol: float = 1e-9) -> CertificationReport:
+def certify_full(provider, budget: SearchBudget | None = None) -> CertificationReport:
     """Test every canonical bipartition and grant or refuse the certificate.
 
     A state separable over a mode decomposition has a non-negative partial
@@ -146,7 +146,7 @@ def certify_full(provider, budget: SearchBudget | None = None, *,
     budget = budget or SearchBudget()
     modes = provider.modes
     outcomes = tuple(
-        test_bipartition(provider, cut, budget, tol=tol)
+        test_bipartition(provider, cut, budget)
         for cut in canonical_bipartitions(modes)
     )
     open_cuts = [o.transposition for o in outcomes if not o.npt]

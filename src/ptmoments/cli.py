@@ -56,7 +56,7 @@ EXIT_NO_CERTIFICATE = 11
 
 def parse_complex(text: str) -> complex:
     """Parse ``a+bi`` with optional real or imaginary part."""
-    compact = str(text).strip().replace(" ", "")
+    compact = text.strip().replace(" ", "")
     if not compact:
         raise ValueError("empty complex literal")
     normalized = compact.replace("I", "i").replace("i", "j")
@@ -68,16 +68,19 @@ def parse_complex(text: str) -> complex:
         raise ValueError(f"cannot parse complex number {text!r} (expected a+bi)") from None
 
 
-def _complex_list(text: str) -> list[complex]:
-    return [parse_complex(part) for part in str(text).split(",") if part.strip()]
+def _list_of(parse):
+    """Argparse type for a comma-separated list of ``parse`` values."""
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse_list
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in str(text).split(",") if part.strip()]
+_complex_list = _list_of(parse_complex)
+_float_list = _list_of(float)
+_int_list = _list_of(int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("moments-gen", help="tabulate moments of a built-in state")
     _add_state_options(gen)
-    gen.add_argument("--order", type=int, default=None,
-                     help="tabulate all moments of weight up to this order (default 2)")
-    gen.add_argument("--tol", type=float, default=None,
-                     help=f"tolerance recorded in the table (default {TABLE_TOLERANCE:g})")
+    gen.add_argument("--order", type=int, default=2,
+                     help="tabulate all moments of weight up to this order (default %(default)s)")
+    gen.add_argument("--tol", type=float, default=TABLE_TOLERANCE,
+                     help="tolerance recorded in the table (default %(default)s)")
     _add_common_options(gen)
     gen.set_defaults(func=_cmd_moments_gen)
 
@@ -111,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=_cmd_certify)
 
     fig = commands.add_parser("figure1", help="noise sweep of the four-mode pair minors")
-    fig.add_argument("--alpha-max", type=float, default=None,
-                     help="sweep |alpha| from 0 to this value (default 1.0)")
-    fig.add_argument("--alpha-steps", type=int, default=None,
-                     help="number of grid points (default 21)")
-    fig.add_argument("--alphas", type=str, default=None,
+    fig.add_argument("--alpha-max", type=float, default=1.0,
+                     help="sweep |alpha| from 0 to this value (default %(default)s)")
+    fig.add_argument("--alpha-steps", type=int, default=21,
+                     help="number of grid points (default %(default)s)")
+    fig.add_argument("--alphas", type=_float_list, default=None,
                      help="explicit comma-separated |alpha| grid (overrides range flags)")
-    fig.add_argument("--nbars", type=str, default=None,
-                     help="comma-separated noise levels (default 0,0.01,0.05)")
+    fig.add_argument("--nbars", type=_float_list, default="0,0.01,0.05",
+                     help="comma-separated noise levels (default %(default)s)")
     _add_common_options(fig)
     fig.set_defaults(func=_cmd_figure1)
 
@@ -139,44 +142,48 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_state_options(parser):
     parser.add_argument("--state", choices=["coherent", "tmsv", "wstate", "fock-file"],
                         default=None)
-    parser.add_argument("--gamma", type=str, default=None,
+    parser.add_argument("--gamma", type=_complex_list, default=None,
                         help="coherent amplitudes, comma-separated a+bi")
     parser.add_argument("--modes", type=int, default=None)
-    parser.add_argument("--alpha", type=str, default=None,
+    parser.add_argument("--alpha", type=_complex_list, default=None,
                         help="superposition amplitudes, comma-separated a+bi")
-    parser.add_argument("--nbar", type=str, default=None,
-                        help="mean thermal photons, comma-separated (default 0)")
+    parser.add_argument("--nbar", type=_float_list, default="0",
+                        help="mean thermal photons, comma-separated (default %(default)s)")
     parser.add_argument("--r", type=float, default=None, help="squeezing parameter")
     parser.add_argument("--fock-file", type=str, default=None,
                         help=".npy file with a ket vector or density matrix")
-    parser.add_argument("--cutoffs", type=str, default=None,
+    parser.add_argument("--cutoffs", type=_int_list, default=None,
                         help="comma-separated Fock cutoffs for --fock-file")
 
 
 def _add_budget_options(parser):
     parser.add_argument("--order", type=int, default=None,
-                        help="monomial weight cap of the scan matrix (default 2)")
-    parser.add_argument("--max-minor-size", type=int, default=None,
-                        help="largest witness minor reported (default 6)")
+                        help="monomial weight cap of the scan matrix (default: half a "
+                             f"table's weight clamped to 1..2, or {SearchBudget.max_order} "
+                             "for --state)")
+    parser.add_argument("--max-minor-size", type=int, default=SearchBudget.max_minor_size,
+                        help="largest witness minor reported (default %(default)s)")
     parser.add_argument("--strategy", choices=["eigen-scan", "named-minors", "both"],
-                        default=None)
-    parser.add_argument("--tol", type=float, default=None,
-                        help="negativity tolerance (default 1e-9)")
+                        default=SearchBudget.strategy,
+                        help="witness search: eigenvalue scan, pair minors or both "
+                             "(default %(default)s)")
 
 
 def _add_common_options(parser):
     parser.add_argument("--out", type=str, default=None,
                         help="output path (default: stdout)")
     parser.add_argument("--config", type=str, default=None,
-                        help="JSON file whose keys mirror the long flags")
+                        help="JSON file whose keys mirror the long flags; "
+                             "the command line wins")
 
 
-def _apply_config(args) -> None:
-    """Fill unset options from --config; reject keys the command lacks."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as handle:
+def _config_flags(args) -> list[str]:
+    """The --config file's keys as ``--key=value`` flags, for argparse to check.
+
+    A list is joined with commas and null leaves the option unset; a bool
+    or an object has no flag form and is refused.
+    """
+    with open(args.config, "r", encoding="utf-8") as handle:
         try:
             config = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -187,47 +194,48 @@ def _apply_config(args) -> None:
     unknown = {key for key in config if key.replace("-", "_") not in allowed}
     if unknown:
         raise MomentDataError(f"unknown config keys: {sorted(unknown)}")
+    flags = []
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+        if value is None:
+            continue
+        if isinstance(value, (bool, dict)):
+            raise MomentDataError(f"config key {key!r} must be a string, number or list")
+        if isinstance(value, list):
+            value = ",".join(str(item) for item in value)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _get(args, name, default):
-    value = getattr(args, name, None)
-    return default if value is None else value
+def _budget_from_args(args, table=None) -> SearchBudget:
+    """Search budget from the flags.
 
-
-def _budget_from_args(args, default_order: int = 2) -> SearchBudget:
-    return SearchBudget(
-        max_order=int(_get(args, "order", default_order)),
-        max_minor_size=int(_get(args, "max_minor_size", 6)),
-        strategy=str(_get(args, "strategy", "both")),
-    )
+    Without --order, a table sets half its weight, clamped to 1..2.  A scan
+    of order k needs moments of weight 2k, so a table must reach
+    weight 2 for any scan; an order-1 table still exits 4 naming the keys.
+    """
+    order = args.order
+    if order is None:
+        order = SearchBudget.max_order if table is None else max(1, min(2, table.max_order // 2))
+    return SearchBudget(order, args.max_minor_size, args.strategy)
 
 
 def _provider_from_args(args):
-    state = _get(args, "state", None)
+    state = args.state
     if state is None:
         raise ValueError("--state is required (coherent, tmsv, wstate or fock-file)")
     if state == "coherent":
-        gamma = _get(args, "gamma", None)
-        if gamma is None:
+        if args.gamma is None:
             raise ValueError("--gamma is required for the coherent state")
-        return CoherentProductMoments(_complex_list(gamma))
+        return CoherentProductMoments(args.gamma)
     if state == "tmsv":
-        r = _get(args, "r", None)
-        if r is None:
+        if args.r is None:
             raise ValueError("--r is required for the two-mode squeezed state")
-        return TmsvMoments(float(r))
+        return TmsvMoments(args.r)
     if state == "wstate":
-        alpha = _get(args, "alpha", None)
-        if alpha is None:
+        alphas, nbars = args.alpha, args.nbar
+        if alphas is None:
             raise ValueError("--alpha is required for the wstate superposition")
-        alphas = _complex_list(alpha)
-        nbars = _float_list(str(_get(args, "nbar", "0")))
-        modes = _get(args, "modes", None)
-        modes = int(modes) if modes is not None else max(len(alphas), len(nbars), 2)
+        modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
         if len(alphas) == 1:
             alphas = alphas * modes
         if len(nbars) == 1:
@@ -236,58 +244,40 @@ def _provider_from_args(args):
             raise ValueError("--alpha/--nbar lists must match --modes")
         return WStateMoments(WStateParams(tuple(alphas), tuple(nbars)))
     if state == "fock-file":
-        path = _get(args, "fock_file", None)
-        cutoffs = _get(args, "cutoffs", None)
-        if path is None or cutoffs is None:
+        if args.fock_file is None or args.cutoffs is None:
             raise ValueError("--fock-file and --cutoffs are required")
-        cutoffs = cutoffs if isinstance(cutoffs, list) else _int_list(cutoffs)
-        return FockStateMoments(np.load(path), cutoffs, label=f"fock:{path}")
+        return FockStateMoments(np.load(args.fock_file), args.cutoffs,
+                                label=f"fock:{args.fock_file}")
     raise ValueError(f"unknown state {state!r}")
 
 
 def _table_provider(args):
-    path = _get(args, "moments", None)
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(args.moments, "r", encoding="utf-8") as handle:
         table = load_moment_table(handle)
-    return table, TableMoments(table, label=f"table:{path}")
+    return table, TableMoments(table, label=f"table:{args.moments}")
 
 
 def _write_out(args, text: str) -> None:
-    path = _get(args, "out", None)
-    if path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
 def _cmd_moments_gen(args) -> int:
     provider = _provider_from_args(args)
-    order = int(_get(args, "order", 2))
-    tolerance = float(_get(args, "tol", TABLE_TOLERANCE))
-    table = table_from_provider(provider, order, tolerance=tolerance)
+    table = table_from_provider(provider, args.order, tolerance=args.tol)
     _write_out(args, moment_table_to_json(table) + "\n")
     return EXIT_OK
 
 
-def _clamped_order(args, table) -> int:
-    """Default scan order: half the table's weight, clamped to 1..2.
-
-    A scan of order k needs moments of weight 2k, so a table must reach
-    weight 2 for any scan; an order-1 table still exits 4 naming the keys.
-    """
-    if _get(args, "order", None) is not None:
-        return int(args.order)
-    return max(1, min(2, table.max_order // 2))
-
-
 def _cmd_scan(args) -> int:
-    if _get(args, "moments", None) is None:
+    if args.moments is None:
         raise ValueError("--moments is required for scan")
     table, provider = _table_provider(args)
-    budget = _budget_from_args(args, default_order=_clamped_order(args, table))
-    tol = float(_get(args, "tol", 1e-9))
-    outcomes = certify_full(provider, budget, tol=tol).outcomes if table.modes >= 2 else ()
+    budget = _budget_from_args(args, table)
+    outcomes = certify_full(provider, budget).outcomes if table.modes >= 2 else ()
     findings = [o.minor.as_dict() for o in outcomes if o.npt]
     report = {
         "modes": table.modes,
@@ -302,46 +292,33 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    has_table = _get(args, "moments", None) is not None
-    has_state = _get(args, "state", None) is not None
-    if has_table == has_state:
+    if (args.moments is None) == (args.state is None):
         raise ValueError("provide exactly one of --moments or --state")
-    if has_table:
+    if args.moments is not None:
         table, provider = _table_provider(args)
-        budget = _budget_from_args(args, default_order=_clamped_order(args, table))
     else:
-        provider = _provider_from_args(args)
-        budget = _budget_from_args(args)
-    report = certify_full(provider, budget, tol=float(_get(args, "tol", 1e-9)))
+        table, provider = None, _provider_from_args(args)
+    report = certify_full(provider, _budget_from_args(args, table))
     _write_out(args, json.dumps(report.as_dict(), indent=2) + "\n")
     return EXIT_OK if report.certificate else EXIT_NO_CERTIFICATE
 
 
 def _cmd_figure1(args) -> int:
-    if _get(args, "alphas", None) is not None:
-        raw = args.alphas
-        alphas = raw if isinstance(raw, list) else _float_list(raw)
-    else:
-        alpha_max = float(_get(args, "alpha_max", 1.0))
-        steps = int(_get(args, "alpha_steps", 21))
-        if steps < 1 or alpha_max < 0:
+    alphas = args.alphas
+    if alphas is None:
+        if args.alpha_steps < 1 or args.alpha_max < 0:
             raise ValueError("need at least one grid point and a nonnegative range")
-        alphas = list(np.linspace(0.0, alpha_max, steps))
+        alphas = list(np.linspace(0.0, args.alpha_max, args.alpha_steps))
     if not alphas:
         raise ValueError("empty |alpha| grid")
-    raw_nbars = _get(args, "nbars", None)
-    if raw_nbars is None:
-        nbars = [0.0, 0.01, 0.05]
-    else:
-        nbars = raw_nbars if isinstance(raw_nbars, list) else _float_list(raw_nbars)
-    if not nbars:
+    if not args.nbars:
         raise ValueError("empty noise-level list")
     group1, group2 = four_mode_pair_groups()
 
     def factory(alpha, nbar):
         return WStateMoments(WStateParams.symmetric(4, alpha, nbar))
 
-    rows = sweep(factory, alphas, nbars, group1 + group2)
+    rows = sweep(factory, alphas, args.nbars, group1 + group2)
     _write_out(args, sweep_to_csv(rows))
     return EXIT_OK
 
@@ -362,14 +339,16 @@ def _cmd_index_of(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # Config flags go first so the command line's own values win.
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        _apply_config(args)
-        return args.func(args)
     except UnresolvedMomentsError as exc:
         missing = ", ".join(str(key) for key in exc.missing)
         print(f"error: moments unresolved for keys: {missing}", file=sys.stderr)

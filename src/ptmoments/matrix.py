@@ -18,6 +18,7 @@ from .errors import (
     NumericError,
     ResourceLimitError,
 )
+from .moments import _sig12
 from .multiindex import (
     MonomialIndex,
     count_up_to_weight,
@@ -36,6 +37,9 @@ HERMITICITY_TOL = 1e-6
 
 #: ceiling on the full scan matrix dimension
 SIZE_CAP = 2000
+
+#: the scan seeks a witness only when its minimum eigenvalue is below -SCAN_TOL
+SCAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,7 @@ class ScanResult:
 
 
 def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
-                          tol: float = 1e-9, max_minor_size: int = 6) -> ScanResult:
+                          tol: float = SCAN_TOL, max_minor_size: int = 6) -> ScanResult:
     """Search the full weight-capped matrix for negativity, with witness.
 
     The matrix over all monomials of weight at most ``max_order`` is
@@ -282,7 +286,7 @@ def _extract_witness(values: np.ndarray, order: list[int],
         schur[prefix] = np.inf
         best = int(np.argmin(schur))
         candidate = tuple(order[:k]) + (best,)
-        if schur[best] < 0.0 and _subdet(values, candidate) < -_subthreshold(values, candidate):
+        if schur[best] < 0.0 and _negative(values, candidate):
             return _greedy_shrink(values, candidate)
     return None
 
@@ -295,21 +299,18 @@ def _greedy_shrink(values: np.ndarray, indices: tuple[int, ...]) -> tuple[int, .
         changed = False
         for drop in reversed(range(len(current))):
             trial = tuple(current[:drop] + current[drop + 1:])
-            if _subdet(values, trial) < -_subthreshold(values, trial):
+            if _negative(values, trial):
                 current = list(trial)
                 changed = True
                 break
     return tuple(current)
 
 
-def _subdet(values: np.ndarray, indices) -> float:
+def _negative(values: np.ndarray, indices) -> bool:
+    """Whether the principal block on ``indices`` fails :func:`determinant`'s test."""
     idx = np.asarray(indices)
-    return float(np.linalg.det(values[np.ix_(idx, idx)]).real)
-
-
-def _subthreshold(values: np.ndarray, indices) -> float:
-    idx = np.asarray(indices)
-    return negativity_threshold(values[np.ix_(idx, idx)])
+    block = values[np.ix_(idx, idx)]
+    return float(np.linalg.det(block).real) < -negativity_threshold(block)
 
 
 def named_minor(provider, transposed, pairs) -> MinorResult:
@@ -340,7 +341,3 @@ def _as_transposition(transposed, modes: int) -> TranspositionSet:
     if transposed is None:
         return TranspositionSet.empty(modes)
     return TranspositionSet.of(modes, *transposed)
-
-
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")

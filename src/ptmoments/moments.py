@@ -43,7 +43,13 @@ class MomentProvider:
         self._values: dict[int, complex] = {}
 
     def moment(self, key: MonomialIndex) -> complex:
-        """Normally ordered moment for ``key``; identity is always 1."""
+        """Normally ordered moment for ``key``.
+
+        The identity's moment is the state's normalisation: 1 for the
+        analytic states and Fock kets, the trace (1 within 1e-10) for a Fock
+        density matrix, and the table's own identity entry (1 within the
+        table's tolerance) for a :class:`TableMoments`.
+        """
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
         position = position_of(key)
@@ -492,8 +498,8 @@ def moment_table_to_json(table: MomentTable) -> str:
         {
             "k": list(key.creation),
             "l": list(key.annihilation),
-            "re": _round12(value.real),
-            "im": _round12(value.imag),
+            "re": _sig12(value.real),
+            "im": _sig12(value.imag),
         }
         for key, value in items
     ]
@@ -512,7 +518,8 @@ def table_from_provider(provider: MomentProvider, order: int,
     return MomentTable(modes=provider.modes, tolerance=tolerance, entries=entries)
 
 
-def _round12(x: float) -> float:
+def _sig12(x: float) -> float:
+    """``x`` rounded to the 12 significant digits every JSON output carries."""
     return float(f"{x:.12g}")
 
 

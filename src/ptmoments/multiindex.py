@@ -21,11 +21,6 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 
-def weight(u: MultiIndex) -> int:
-    """Total degree of a multi-index."""
-    return sum(u)
-
-
 def nth_multiindex(d: int, n: int) -> MultiIndex:
     """The ``n``-th multi-index of dimension ``d`` (1-based).
 

@@ -44,10 +44,6 @@ class TranspositionSet:
         full = frozenset(range(1, self.modes + 1))
         return TranspositionSet(self.modes, full - self.members)
 
-    def canonical(self) -> "TranspositionSet":
-        """Of the pair {I, complement}, the one not containing the top mode."""
-        return self.complement() if self.modes in self.members else self
-
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 

@@ -99,6 +99,15 @@ class TestBipartition:
         assert scanned.npt
         assert scanned.min_eigenvalue < -1e-3
 
+    def test_scan_gate(self, monkeypatch):
+        # The witness search runs only below -SCAN_TOL; the minimum
+        # eigenvalue is reported either way.
+        monkeypatch.setattr("ptmoments.matrix.SCAN_TOL", 1.0)
+        outcome = probe_bipartition(TmsvMoments(0.5), (1,))
+        assert outcome.verdict == "inconclusive"
+        assert outcome.minor is None
+        assert outcome.min_eigenvalue < -1e-3
+
     def test_accepts_transposition_set(self):
         outcome = probe_bipartition(
             TmsvMoments(0.5), TranspositionSet.of(2, 1), None
@@ -215,7 +224,7 @@ class TestExclusion:
 
     @staticmethod
     def certify_with_verdicts(monkeypatch, modes, open_cuts):
-        def fixed(provider, cut, budget, *, tol):
+        def fixed(provider, cut, budget):
             verdict = "inconclusive" if cut.members in open_cuts else "NPT"
             return BipartitionOutcome(cut, verdict, None, None)
 

@@ -9,6 +9,7 @@ exercised as a whole rather than through internal helpers.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,6 @@ from ptmoments.cli import (
     EXIT_NO_NEGATIVITY,
     EXIT_OK,
     EXIT_USAGE,
-    _apply_config,
     build_parser,
     main,
     parse_complex,
@@ -37,6 +37,26 @@ def invoke(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def command_parsers(parser, path=()):
+    """(argv prefix, parser) for every subcommand below ``parser``, nested ones too."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from command_parsers(sub, path + (name,))
+
+
+# Every long flag whose type or choices can refuse a value, with its command.
+CHECKED_FLAGS = [
+    (path, option, "--config" in sub._option_string_actions)
+    for path, sub in command_parsers(build_parser())
+    for action in sub._actions
+    if action.type not in (None, str) or action.choices
+    for option in action.option_strings
+    if option.startswith("--")
+]
 
 
 def write_table(tmp_path, name, argv):
@@ -553,12 +573,73 @@ class TestConfigFile:
         ]
         assert "out" in keys
         cfg = tmp_path / "cfg.json"
+        # Null leaves an option unset, so the command runs as if bare.
         cfg.write_text(json.dumps(dict.fromkeys(keys)))
-        _apply_config(build_parser().parse_args([command, "--config", str(cfg)]))
+        assert invoke([command, "--config", str(cfg)]) == invoke([command])
         cfg.write_text(json.dumps({"config": str(cfg)}))
         code, out, err = invoke([command, "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "unknown config keys: ['config']" in err
+
+    @pytest.mark.parametrize(
+        "path, flag, has_config", CHECKED_FLAGS,
+        ids=[" ".join(path) + " " + flag for path, flag, _ in CHECKED_FLAGS],
+    )
+    def test_value_a_flag_refuses_exits_2(self, tmp_path, path, flag, has_config):
+        code, out, err = invoke([*path, f"{flag}=zebra"])
+        assert code == EXIT_USAGE
+        assert f"argument {flag}: " in err
+        assert "Traceback" not in err
+        if has_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: "zebra"}))
+            assert invoke([*path, "--config", str(cfg)]) == (code, out, err)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"order": [1, 2]}, {"max_minor_size": {"a": 1}}, {"order": True}],
+        ids=["list-for-int", "object", "bool"],
+    )
+    def test_wrong_typed_value_exits_2(self, tmp_path, config):
+        table = write_table(
+            tmp_path,
+            "tmsv2.json",
+            ["moments-gen", "--state", "tmsv", "--r", "0.6", "--order", "2"],
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = invoke(["scan", "--moments", str(table), "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert ("order" if "order" in config else "max") in err
+
+    def test_integer_path_is_a_file_name(self, tmp_path, monkeypatch):
+        # {"moments": 0} names the file "0", never file descriptor 0 (stdin).
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"moments": 0}))
+        code, out, err = invoke(["certify", "--config", str(cfg)])
+        assert code == EXIT_IO
+        assert "No such file or directory: '0'" in err
+
+    def test_lists_fill_comma_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [0, 0.3], "nbars": [0.01]}))
+        from_config = invoke(["figure1", "--config", str(cfg)])
+        assert from_config == invoke(["figure1", "--alphas", "0,0.3", "--nbars", "0.01"])
+        assert from_config[0] == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["scan", "certify"])
+    def test_scan_tolerance_is_not_an_option(self, tmp_path, command):
+        code, out, err = invoke([command, "--tol", "1e-6"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --tol" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-6}))
+        code, out, err = invoke([command, "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: ['tol']" in err
 
     def test_non_object_config_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

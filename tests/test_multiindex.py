@@ -11,9 +11,13 @@ from ptmoments import (
     monomial_at,
     nth_multiindex,
     position_of,
-    weight,
 )
 from ptmoments.multiindex import binomial_table, packed_positions
+
+
+def weight(u) -> int:
+    """Total degree of a multi-index."""
+    return sum(u)
 
 
 # Ordering oracle: the gralex comparison and successor step, written from the
