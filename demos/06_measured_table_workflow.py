@@ -19,7 +19,6 @@ from pathlib import Path
 from ptmoments import (
     SearchBudget,
     Selection,
-    TableMoments,
     TmsvMoments,
     UnresolvedMomentsError,
     canonical_bipartitions,
@@ -51,7 +50,7 @@ def run(path):
     print(f"  pair-correlation entry: {anomalous}")
 
     # --- the "analysis": everything below sees only the file ---------------
-    measured = TableMoments(load_moment_table(path.read_text()))
+    measured = load_moment_table(path.read_text())
     budget = SearchBudget()
     print()
     print("Scanning each bipartition of the tabulated data:")

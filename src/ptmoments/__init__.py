@@ -39,7 +39,6 @@ from .moments import (
     CoherentProductMoments,
     FockStateMoments,
     MomentProvider,
-    MomentTable,
     TableMoments,
     TmsvMoments,
     WStateMoments,
@@ -80,7 +79,6 @@ __all__ = [
     "MomentDataError",
     "MomentMatrix",
     "MomentProvider",
-    "MomentTable",
     "MonomialIndex",
     "NumericError",
     "ResourceLimitError",

@@ -36,7 +36,6 @@ from .moments import (
     TABLE_TOLERANCE,
     CoherentProductMoments,
     FockStateMoments,
-    TableMoments,
     TmsvMoments,
     WStateMoments,
     WStateParams,
@@ -114,12 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.set_defaults(func=_cmd_certify)
 
     fig = commands.add_parser("figure1", help="noise sweep of the four-mode pair minors")
-    fig.add_argument("--alpha-max", type=float, default=1.0,
-                     help="sweep |alpha| from 0 to this value (default %(default)s)")
-    fig.add_argument("--alpha-steps", type=int, default=21,
-                     help="number of grid points (default %(default)s)")
-    fig.add_argument("--alphas", type=_float_list, default=None,
-                     help="explicit comma-separated |alpha| grid (overrides range flags)")
+    fig.add_argument("--alphas", type=_float_list, default=list(np.linspace(0.0, 1.0, 21)),
+                     help="comma-separated |alpha| grid (default: 21 points from 0 to 1)")
     fig.add_argument("--nbars", type=_float_list, default="0,0.01,0.05",
                      help="comma-separated noise levels (default %(default)s)")
     _add_common_options(fig)
@@ -147,8 +142,8 @@ def _add_state_options(parser):
     parser.add_argument("--modes", type=int, default=None)
     parser.add_argument("--alpha", type=_complex_list, default=None,
                         help="superposition amplitudes, comma-separated a+bi")
-    parser.add_argument("--nbar", type=_float_list, default="0",
-                        help="mean thermal photons, comma-separated (default %(default)s)")
+    parser.add_argument("--nbar", type=_float_list, default=None,
+                        help="mean thermal photons, comma-separated (default 0)")
     parser.add_argument("--r", type=float, default=None, help="squeezing parameter")
     parser.add_argument("--fock-file", type=str, default=None,
                         help=".npy file with a ket vector or density matrix")
@@ -219,10 +214,31 @@ def _budget_from_args(args, table=None) -> SearchBudget:
     return SearchBudget(order, args.max_minor_size, args.strategy)
 
 
+# The state flags each --state reads; a state flag the chosen source does not read is refused.
+_STATE_READS = {
+    "coherent": ("gamma",),
+    "tmsv": ("r",),
+    "wstate": ("modes", "alpha", "nbar"),
+    "fock-file": ("fock_file", "cutoffs"),
+}
+
+
+def _refuse_unread_state_flags(args, source: str, reads=()) -> None:
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dests in _STATE_READS.values()
+        for dest in dests
+        if dest not in reads and getattr(args, dest) is not None
+    ]
+    if unread:
+        raise ValueError(f"{source} does not read {', '.join(unread)}")
+
+
 def _provider_from_args(args):
     state = args.state
     if state is None:
         raise ValueError("--state is required (coherent, tmsv, wstate or fock-file)")
+    _refuse_unread_state_flags(args, f"--state {state}", _STATE_READS[state])
     if state == "coherent":
         if args.gamma is None:
             raise ValueError("--gamma is required for the coherent state")
@@ -232,7 +248,7 @@ def _provider_from_args(args):
             raise ValueError("--r is required for the two-mode squeezed state")
         return TmsvMoments(args.r)
     if state == "wstate":
-        alphas, nbars = args.alpha, args.nbar
+        alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
         if alphas is None:
             raise ValueError("--alpha is required for the wstate superposition")
         modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
@@ -243,18 +259,17 @@ def _provider_from_args(args):
         if len(alphas) != modes or len(nbars) != modes:
             raise ValueError("--alpha/--nbar lists must match --modes")
         return WStateMoments(WStateParams(tuple(alphas), tuple(nbars)))
-    if state == "fock-file":
-        if args.fock_file is None or args.cutoffs is None:
-            raise ValueError("--fock-file and --cutoffs are required")
-        return FockStateMoments(np.load(args.fock_file), args.cutoffs,
-                                label=f"fock:{args.fock_file}")
-    raise ValueError(f"unknown state {state!r}")
+    if args.fock_file is None or args.cutoffs is None:
+        raise ValueError("--fock-file and --cutoffs are required")
+    return FockStateMoments(np.load(args.fock_file), args.cutoffs,
+                            label=f"fock:{args.fock_file}")
 
 
 def _table_provider(args):
     with open(args.moments, "r", encoding="utf-8") as handle:
         table = load_moment_table(handle)
-    return table, TableMoments(table, label=f"table:{args.moments}")
+    table.label = f"table:{args.moments}"
+    return table
 
 
 def _write_out(args, text: str) -> None:
@@ -275,9 +290,9 @@ def _cmd_moments_gen(args) -> int:
 def _cmd_scan(args) -> int:
     if args.moments is None:
         raise ValueError("--moments is required for scan")
-    table, provider = _table_provider(args)
+    table = _table_provider(args)
     budget = _budget_from_args(args, table)
-    outcomes = certify_full(provider, budget).outcomes if table.modes >= 2 else ()
+    outcomes = certify_full(table, budget).outcomes if table.modes >= 2 else ()
     findings = [o.minor.as_dict() for o in outcomes if o.npt]
     report = {
         "modes": table.modes,
@@ -295,7 +310,8 @@ def _cmd_certify(args) -> int:
     if (args.moments is None) == (args.state is None):
         raise ValueError("provide exactly one of --moments or --state")
     if args.moments is not None:
-        table, provider = _table_provider(args)
+        _refuse_unread_state_flags(args, "--moments")
+        table = provider = _table_provider(args)
     else:
         table, provider = None, _provider_from_args(args)
     report = certify_full(provider, _budget_from_args(args, table))
@@ -304,12 +320,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    alphas = args.alphas
-    if alphas is None:
-        if args.alpha_steps < 1 or args.alpha_max < 0:
-            raise ValueError("need at least one grid point and a nonnegative range")
-        alphas = list(np.linspace(0.0, args.alpha_max, args.alpha_steps))
-    if not alphas:
+    if not args.alphas:
         raise ValueError("empty |alpha| grid")
     if not args.nbars:
         raise ValueError("empty noise-level list")
@@ -318,7 +329,7 @@ def _cmd_figure1(args) -> int:
     def factory(alpha, nbar):
         return WStateMoments(WStateParams.symmetric(4, alpha, nbar))
 
-    rows = sweep(factory, alphas, args.nbars, group1 + group2)
+    rows = sweep(factory, args.alphas, args.nbars, group1 + group2)
     _write_out(args, sweep_to_csv(rows))
     return EXIT_OK
 

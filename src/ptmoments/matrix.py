@@ -59,10 +59,6 @@ class Selection:
             raise ValueError("positions must be strictly increasing")
 
     @classmethod
-    def of(cls, *positions) -> "Selection":
-        return cls(tuple(sorted(set(int(p) for p in positions))))
-
-    @classmethod
     def leading(cls, size: int) -> "Selection":
         return cls(tuple(range(1, size + 1)))
 

@@ -1,16 +1,15 @@
 """Sources of normally ordered moments ``<ad^k a^l>`` of concrete states.
 
-Providers are immutable after construction apart from one cache of computed
-moments, keyed by the position of the moment's monomial in the graded
-sequence and shared by :meth:`MomentProvider.moment` and
-:meth:`MomentProvider.moments_at`.  A position enters the cache only together
-with its value, so providers can be shared across concurrent evaluations.
-Only the keys asked for are ever computed.  Besides the
-analytic states (coherent products, two-mode squeezed vacuum, the noisy
-W-type superposition of sign-flipped coherent states) there is a provider
-for explicit truncated-Fock kets or density matrices, computed by direct
-matrix algebra, and a JSON table format for measured or externally
-calculated moments.
+Every provider keeps its moments in one store keyed by the position of the
+moment's monomial in the graded sequence, shared by
+:meth:`MomentProvider.moment` and :meth:`MomentProvider.moments_at`.  A
+position enters the store only together with its value, so providers can be
+shared across concurrent evaluations.  The analytic states (coherent
+products, two-mode squeezed vacuum, the noisy W-type superposition of
+sign-flipped coherent states) and explicit truncated-Fock kets or density
+matrices, computed by direct matrix algebra, fill it with just the keys asked
+for.  A :class:`TableMoments` of measured or externally calculated moments
+fills it once, at construction, and reads and writes a JSON table format.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class MomentProvider:
         if modes < 1:
             raise ValueError("mode count must be >= 1")
         self.modes = modes
-        # Computed moments by 1-based position; a position enters with its value.
+        # Moments by 1-based position; a position enters with its value.
         self._values: dict[int, complex] = {}
 
     def moment(self, key: MonomialIndex) -> complex:
@@ -48,7 +47,8 @@ class MomentProvider:
         The identity's moment is the state's normalisation: 1 for the
         analytic states and Fock kets, the trace (1 within 1e-10) for a Fock
         density matrix, and the table's own identity entry (1 within the
-        table's tolerance) for a :class:`TableMoments`.
+        table's tolerance) for a :class:`TableMoments`, which raises
+        :class:`UnresolvedMomentsError` for a key it does not hold.
         """
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
@@ -363,35 +363,31 @@ def _trace_with_product(rho: np.ndarray, cutoffs, ops) -> complex:
     return complex(np.einsum(",".join(subscripts) + "->", rho.reshape(cutoffs * 2), *ops))
 
 
-@dataclass
-class MomentTable:
-    """Validated moment data: mode count, tolerance and key/value entries."""
-
-    modes: int
-    tolerance: float
-    entries: dict[MonomialIndex, complex]
-
-    @property
-    def max_order(self) -> int:
-        return max((key.weight for key in self.entries), default=0)
-
-
 class TableMoments(MomentProvider):
-    """Provider view of a :class:`MomentTable`; missing keys raise."""
+    """Moments given as data: every entry is stored at construction, missing keys raise.
 
-    def __init__(self, table: MomentTable, label: str = "table"):
-        super().__init__(table.modes)
-        self.table = table
+    ``entries`` maps :class:`MonomialIndex` keys over ``modes`` modes to
+    values; ``tolerance`` is the consistency tolerance the table records and
+    ``max_order`` its largest key weight.
+    """
+
+    def __init__(self, modes: int, entries, tolerance: float = TABLE_TOLERANCE,
+                 label: str = "table"):
+        super().__init__(modes)
+        self.tolerance = tolerance
         self.label = label
+        self.max_order = 0
+        for key, value in entries.items():
+            if key.modes != modes:
+                raise MomentDataError(f"key {key} has {key.modes} modes, table has {modes}")
+            self._values[position_of(key)] = complex(value)
+            self.max_order = max(self.max_order, key.weight)
 
     def _compute(self, key):
-        try:
-            return self.table.entries[key]
-        except KeyError:
-            raise UnresolvedMomentsError([key]) from None
+        raise UnresolvedMomentsError([key])
 
 
-def load_moment_table(source) -> MomentTable:
+def load_moment_table(source) -> TableMoments:
     """Parse and validate the JSON moment-table format.
 
     The document is ``{"modes": n, "tolerance": t, "entries": [...]}`` with
@@ -457,7 +453,7 @@ def load_moment_table(source) -> MomentTable:
                 )
         else:
             entries[partner] = entries[key].conjugate()
-    return MomentTable(modes=modes, tolerance=tolerance, entries=entries)
+    return TableMoments(modes, entries, tolerance)
 
 
 def _exponent_list(value, modes: int) -> bool:
@@ -491,31 +487,29 @@ def _number(value, name: str) -> float:
         raise MomentDataError(f"{name} is out of range") from None
 
 
-def moment_table_to_json(table: MomentTable) -> str:
+def moment_table_to_json(table: TableMoments) -> str:
     """Serialize deterministically: entries in moment-sequence order, 12 significant digits."""
-    items = sorted(table.entries.items(), key=lambda kv: position_of(kv[0]))
-    entries = [
-        {
+    entries = []
+    for position, value in sorted(table._values.items()):
+        key = monomial_at(table.modes, position)
+        entries.append({
             "k": list(key.creation),
             "l": list(key.annihilation),
             "re": _sig12(value.real),
             "im": _sig12(value.imag),
-        }
-        for key, value in items
-    ]
+        })
     doc = {"modes": table.modes, "tolerance": table.tolerance, "entries": entries}
     return json.dumps(doc, indent=2)
 
 
 def table_from_provider(provider: MomentProvider, order: int,
-                        tolerance: float = TABLE_TOLERANCE) -> MomentTable:
+                        tolerance: float = TABLE_TOLERANCE) -> TableMoments:
     """Tabulate every moment of weight up to ``order`` from a provider."""
     tolerance = _tolerance(tolerance)
     positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
     keys = [monomial_at(provider.modes, p) for p in positions.tolist()]
     values = provider.moments_at(positions, np.array([key.pack() for key in keys]))
-    entries = dict(zip(keys, values.tolist()))
-    return MomentTable(modes=provider.modes, tolerance=tolerance, entries=entries)
+    return TableMoments(provider.modes, dict(zip(keys, values.tolist())), tolerance)
 
 
 def _sig12(x: float) -> float:

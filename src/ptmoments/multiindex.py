@@ -196,11 +196,11 @@ def position_of(m: MonomialIndex) -> int:
     rank = 0
     rem = w
     # Count same-weight indices that precede u: fix coordinates from the top
-    # down, summing over smaller values at each coordinate.
-    for coord in range(d - 1, 0, -1):
-        for t in range(u[coord]):
-            rank += math.comb(rem - t + coord - 1, coord - 1)
-        rem -= u[coord]
+    # down; the C(rem - t + c - 1, c - 1) indices with value t < u_c at
+    # coordinate c sum by the hockey-stick identity.
+    for c in range(d - 1, 0, -1):
+        rank += math.comb(rem + c, c) - math.comb(rem - u[c] + c, c)
+        rem -= u[c]
     return count_up_to_weight(d, w - 1) + rank + 1
 
 

@@ -83,10 +83,6 @@ class Decomposition:
         if seen != set(range(1, self.modes + 1)):
             raise ValueError(f"parts must cover 1..{self.modes}")
 
-    @classmethod
-    def of(cls, modes: int, *parts) -> "Decomposition":
-        return cls(modes, tuple(frozenset(p) for p in parts))
-
     def sort_key(self):
         return (len(self.parts), tuple(tuple(sorted(p)) for p in self.parts))
 

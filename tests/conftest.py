@@ -11,7 +11,12 @@ import math
 
 import numpy as np
 
-from ptmoments import MomentProvider, MonomialIndex
+from ptmoments import MomentProvider, MonomialIndex, Selection
+
+
+def selection_of(*positions):
+    """The selection of the given 1-based positions, sorted and without repeats."""
+    return Selection(tuple(sorted(set(int(p) for p in positions))))
 
 
 def ladder(cutoff):

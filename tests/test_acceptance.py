@@ -40,6 +40,7 @@ from conftest import (
     padded_random_state,
     pt_trace,
     random_monomial,
+    selection_of,
     tmsv_vector,
 )
 from ptmoments import (
@@ -48,7 +49,6 @@ from ptmoments import (
     MonomialIndex,
     SearchBudget,
     Selection,
-    TableMoments,
     TmsvMoments,
     TranspositionSet,
     WStateMoments,
@@ -177,7 +177,7 @@ def test_minor_determinants_equal_under_complement_transposition():
         for _ in range(6):
             size = int(rng.integers(1, 7))
             positions = 1 + rng.choice(dimension, size=min(size, dimension), replace=False)
-            selection = Selection.of(*(int(p) for p in positions))
+            selection = selection_of(*(int(p) for p in positions))
             members = set()
             while not members or len(members) == modes:
                 members = {m for m in range(1, modes + 1) if rng.random() < 0.5}
@@ -278,9 +278,7 @@ def test_witnesses_rebuild_from_serialized_moment_tables():
 
     for provider in cases:
         table = table_from_provider(provider, 2 * budget.max_order)
-        rebuilt = TableMoments(
-            load_moment_table(io.StringIO(moment_table_to_json(table)))
-        )
+        rebuilt = load_moment_table(io.StringIO(moment_table_to_json(table)))
 
         npt_count = 0
         for cut in canonical_bipartitions(provider.modes):

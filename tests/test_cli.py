@@ -130,6 +130,14 @@ class TestIndexOf:
             assert code == EXIT_OK
             assert out == position + "\n"
 
+    def test_huge_exponent_returns(self):
+        # Below weight w lie C(w + 3, 4) indices; of weight w, those with a
+        # smaller a2 exponent number w (w + 1) / 2 + w.
+        w = 30_000_000
+        code, out, err = invoke(["index", "of", f"a2^{w}", "--modes", "2"])
+        assert code == EXIT_OK
+        assert out == f"{math.comb(w + 3, 4) + w * (w + 1) // 2 + w + 1}\n"
+
     def test_modes_flag_required(self):
         code, out, err = invoke(["index", "of", "a1 a2"])
         assert code == EXIT_USAGE
@@ -467,6 +475,26 @@ class TestCertify:
         assert code == EXIT_USAGE
         assert "exactly one" in err
 
+    def test_state_flags_the_state_does_not_read_refused(self):
+        code, out, err = invoke(
+            ["certify", "--state", "tmsv", "--r", "0.5", "--modes", "4", "--nbar", "0.3",
+             "--alpha", "0.2"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --state tmsv does not read --modes, --alpha, --nbar\n"
+
+    def test_state_flags_refused_with_a_table(self, tmp_path):
+        path = write_table(
+            tmp_path,
+            "tmsv2.json",
+            ["moments-gen", "--state", "tmsv", "--r", "0.6", "--order", "2"],
+        )
+        code, out, err = invoke(["certify", "--moments", str(path), "--gamma=1,2", "--r", "3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --moments does not read --gamma, --r\n"
+
     def test_source_required(self):
         code, out, err = invoke(["certify"])
         assert code == EXIT_USAGE
@@ -529,6 +557,12 @@ class TestFigure1:
         text = path.read_text()
         assert text.startswith("param,nbar,minor,I,value\n")
         assert text.endswith("\n")
+
+    def test_default_grid_is_21_points_from_0_to_1(self):
+        code, out, err = invoke(["figure1", "--nbars", "0"])
+        assert code == EXIT_OK
+        params = [line.split(",")[0] for line in out.splitlines()[1::7]]
+        assert params == [f"{0.05 * i:.12g}" for i in range(21)]
 
     def test_empty_alpha_grid_rejected(self):
         code, out, err = invoke(["figure1", "--alphas", "", "--nbars", "0"])

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import evaluate_terms, min_principal_minor, padded_random_state
+from conftest import evaluate_terms, min_principal_minor, padded_random_state, selection_of
 from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
@@ -27,11 +27,12 @@ from ptmoments import (
     WStateParams,
     build_matrix,
     canonical_bipartitions,
+    count_up_to_weight,
     determinant,
     eigen_negativity_scan,
     entry_expression_pt,
     load_moment_table,
-    moment_table_to_json,
+    monomial_at,
     named_minor,
     position_of,
     principal_minor,
@@ -59,7 +60,7 @@ class TestSelection:
             Selection((2, 2))
 
     def test_of_sorts_and_dedupes(self):
-        sel = Selection.of(5, 1, 3, 1)
+        sel = selection_of(5, 1, 3, 1)
         assert sel.positions == (1, 3, 5)
         assert len(sel) == 3
         assert list(sel) == [1, 3, 5]
@@ -72,7 +73,7 @@ class TestSelection:
         assert len(Selection.up_to_weight(2, 2)) == 15
 
     def test_monomials_and_labels(self):
-        sel = Selection.of(1, 2, 5)
+        sel = selection_of(1, 2, 5)
         assert sel.labels(2) == ("1", "a1", "ad2")
         assert sel.monomials(2)[1] == idx((0, 1), (0, 0))
 
@@ -126,31 +127,41 @@ class TestBuildMatrix:
             build_matrix(Broken(1), None, Selection.leading(3))
 
     def test_missing_moments_aggregated(self):
-        table = load_moment_table(
+        prov = load_moment_table(
             '{"modes": 1, "entries": [{"k": [0], "l": [0], "re": 1.0}]}'
         )
-        prov = TableMoments(table)
         with pytest.raises(UnresolvedMomentsError) as info:
             build_matrix(prov, None, Selection.leading(3))
         labels = {str(k) for k in info.value.missing}
         assert labels == {"a1", "ad1", "a1^2", "ad1 a1", "ad1^2"}
 
     def test_missing_key_reported_for_the_cut_that_needs_it(self):
-        # Over rows {a1, a2 a3}, the off-diagonal entries give each cut its
-        # own weight-3 keys: ad3 a1 a2 is needed under {2} and {1,3} alone.
+        # A table built without one key fails exactly the cuts whose entries
+        # need it, with one error naming it once.  Over rows {a1, a2 a3} the
+        # off-diagonal entries give each cut its own weight-3 keys: ad3 a1 a2
+        # is needed under {2} and {1,3} alone.  Over rows {1, a1, a2 a3},
+        # ad3 a2 comes from <ad2 ad3> with mode 2 alone of 2, 3 transposed
+        # and from <a2 a3> with mode 3 alone.
         prov = WStateMoments(WStateParams((0.4, 0.3, 0.35), (0.0, 0.01, 0.0)))
-        table = table_from_provider(prov, order=4)
-        lacking = MonomialIndex.from_ops(3, creation=(3,), annihilation=(1, 2))
-        del table.entries[lacking]
-        selection = Selection.of(2, position_of(MonomialIndex.parse("a2 a3", 3)))
-        for cut in canonical_bipartitions(3):
-            for transposed in (cut, cut.complement()):
-                if transposed.members in ({2}, {1, 3}):
-                    with pytest.raises(UnresolvedMomentsError) as info:
-                        build_matrix(TableMoments(table), transposed, selection)
-                    assert info.value.missing == [lacking]
-                else:
-                    build_matrix(TableMoments(table), transposed, selection)
+        keys = [monomial_at(3, p) for p in range(1, count_up_to_weight(6, 4) + 1)]
+        cases = [
+            ("ad3 a1 a2", ("a1", "a2 a3"), ({2}, {1, 3})),
+            ("ad3 a2", ("1", "a1", "a2 a3"), ({2}, {1, 3}, {1, 2}, {3})),
+        ]
+        for lacking, rows, needing in cases:
+            lacking = MonomialIndex.parse(lacking, 3)
+            table = TableMoments(3, {key: prov.moment(key) for key in keys if key != lacking})
+            selection = selection_of(*(position_of(MonomialIndex.parse(r, 3)) for r in rows))
+            for cut in canonical_bipartitions(3):
+                for transposed in (cut, cut.complement()):
+                    if transposed.members in needing:
+                        with pytest.raises(UnresolvedMomentsError) as info:
+                            build_matrix(table, transposed, selection)
+                        assert info.value.missing == [lacking]
+                    else:
+                        got = build_matrix(table, transposed, selection).values
+                        want = build_matrix(prov, transposed, selection).values
+                        assert np.array_equal(got, want)
 
     def test_eigenvalues_sorted_real(self):
         matrix = build_matrix(TmsvMoments(0.4), (1,), Selection.leading(5))
@@ -241,13 +252,13 @@ class TestPlanEquivalence:
             FockStateMoments(vec, cutoffs),
             noisy,
             TmsvMoments(0.6),
-            TableMoments(table_from_provider(noisy, order=4)),
+            table_from_provider(noisy, order=4),
         ]
         for prov in providers:
             n = prov.modes
             top = len(Selection.up_to_weight(n, 2))
             selections = [Selection.leading(top)] + [
-                Selection.of(*(1 + rng.choice(top, size=int(rng.integers(1, 9)), replace=False)))
+                selection_of(*(1 + rng.choice(top, size=int(rng.integers(1, 9)), replace=False)))
                 for _ in range(4)
             ]
             for cut in canonical_bipartitions(n):
@@ -265,7 +276,7 @@ class TestPlanEquivalence:
     def test_selection_beyond_the_shared_plan(self):
         # Far positions are compiled for the selected monomials only.
         prov = CoherentProductMoments((0.3 + 0.1j, -0.2j))
-        selection = Selection.of(1, 3, 700, 714)
+        selection = selection_of(1, 3, 700, 714)
         transposed = TranspositionSet.of(2, 2)
         got = build_matrix(prov, transposed, selection).values
         want = self.reference(prov, transposed, selection)
@@ -317,7 +328,7 @@ class TestDeterminant:
         assert res.verdict == "negative"
 
     def test_as_dict_format(self):
-        minor = principal_minor(TmsvMoments(0.8), (2,), Selection.of(2, 4))
+        minor = principal_minor(TmsvMoments(0.8), (2,), selection_of(2, 4))
         doc = minor.as_dict()
         assert set(doc) == {"I", "R", "det", "imag_residual", "verdict"}
         assert doc["I"] == [2]
@@ -387,7 +398,7 @@ class TestEigenScan:
         result = eigen_negativity_scan(TmsvMoments(r), (2,), max_order=1)
         assert result.negative
         assert result.min_eigenvalue < -1e-3
-        assert result.witness == Selection.of(2, 4)
+        assert result.witness == selection_of(2, 4)
         # The {a1, a2} block is [[s^2, sc], [sc, s^2]] with determinant -s^2.
         assert result.minor.determinant == pytest.approx(
             -math.sinh(r) ** 2, rel=1e-9
@@ -418,7 +429,7 @@ class TestEigenScan:
                 return -0.5 if key == idx((1, 1), (0, 0)) else 0.0
 
         result = eigen_negativity_scan(NegativeNumber(2), (2,), max_order=1, max_minor_size=1)
-        assert result.witness == Selection.of(2)
+        assert result.witness == selection_of(2)
         assert result.minor.determinant == pytest.approx(-0.5)
         assert result.negative
 
@@ -438,9 +449,9 @@ class TestNamedMinor:
         # a3 a4 in the monomial sequence.
         prov = WStateMoments(WStateParams.symmetric(4, 0.3))
         named = named_minor(prov, (1,), (((1, 2)), ((3, 4))))
-        direct = principal_minor(prov, (1,), Selection.of(13, 35))
+        direct = principal_minor(prov, (1,), selection_of(13, 35))
         assert named.determinant == pytest.approx(direct.determinant)
-        assert named.selection == Selection.of(13, 35)
+        assert named.selection == selection_of(13, 35)
         assert named.negative
 
     def test_distinct_modes_required(self):

@@ -20,7 +20,6 @@ from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
     MomentDataError,
-    MomentTable,
     MonomialIndex,
     Selection,
     TableMoments,
@@ -336,10 +335,19 @@ class TestMomentTable:
         again = load_moment_table(text)
         assert again.modes == 1
         assert again.max_order == 4
-        for key, value in table.entries.items():
-            assert again.entries[key] == pytest.approx(value, abs=1e-10)
+        for position in range(1, count_up_to_weight(2, 4) + 1):
+            key = monomial_at(1, position)
+            assert again.moment(key) == pytest.approx(table.moment(key), abs=1e-10)
         # Serialization is deterministic.
         assert moment_table_to_json(again) == text
+        # So is the round trip of the order-4 tables of the bundled states.
+        for source in (
+            WStateMoments(WStateParams.symmetric(4, 0.3, 0.01)),
+            CoherentProductMoments((0.5 + 0.25j, -0.3j, 0.2, 0.4 - 0.1j)),
+            TmsvMoments(0.6),
+        ):
+            text = moment_table_to_json(table_from_provider(source, order=4))
+            assert moment_table_to_json(load_moment_table(text)) == text
 
     def test_missing_identity_rejected(self):
         text = self.doc([self.entry([1], [1], re=0.5)])
@@ -352,7 +360,7 @@ class TestMomentTable:
             load_moment_table(text)
         # ... within the declared tolerance.
         ok = self.doc([self.entry([0], [0], re=1.0005)], tolerance=1e-2)
-        assert load_moment_table(ok).entries[MonomialIndex.identity(1)] == 1.0005
+        assert load_moment_table(ok).moment(MonomialIndex.identity(1)) == 1.0005
 
     def test_non_finite_values_rejected(self):
         # abs(nan - 1) > tol is False, so a NaN identity needs its own check.
@@ -384,7 +392,7 @@ class TestMomentTable:
             ]
         )
         table = load_moment_table(text)
-        assert table.entries[idx((0, 1))] == pytest.approx(0.3 - 0.1j)
+        assert table.moment(idx((0, 1))) == pytest.approx(0.3 - 0.1j)
 
     def test_duplicates_rejected(self):
         text = self.doc(
@@ -424,13 +432,12 @@ class TestMomentTable:
         with open(path) as fh:
             table = load_moment_table(fh)
         assert table.modes == 2
-        assert table.entries[idx((1, 1), (0, 0))] == pytest.approx(
+        assert table.moment(idx((1, 1), (0, 0))) == pytest.approx(
             math.sinh(0.4) ** 2, abs=1e-10
         )
 
     def test_table_provider_raises_on_missing(self):
-        table = load_moment_table(self.doc([self.entry([0], [0], re=1.0)]))
-        prov = TableMoments(table)
+        prov = load_moment_table(self.doc([self.entry([0], [0], re=1.0)]))
         assert prov.moment(MonomialIndex.identity(1)) == 1.0
         with pytest.raises(UnresolvedMomentsError) as info:
             prov.moment(idx((2, 2)))
@@ -440,5 +447,20 @@ class TestMomentTable:
         prov = CoherentProductMoments((0.3,))
         table = table_from_provider(prov, order=2)
         # All monomials of weight <= 2 in one mode: 1, a, ad, a^2, ad a, ad^2.
-        assert len(table.entries) == 6
+        assert len(json.loads(moment_table_to_json(table))["entries"]) == 6
         assert table.max_order == 2
+
+    def test_huge_exponent_loads(self):
+        # Ranking is closed form, so an exponent of 10**9 costs no walk.
+        huge = idx((10**9, 0))
+        table = load_moment_table(
+            self.doc([self.entry([0], [0], re=1.0), self.entry([10**9], [0], re=0.5)])
+        )
+        assert table.max_order == 10**9
+        assert table.moment(huge.conjugate()) == 0.5
+        with pytest.raises(UnresolvedMomentsError):
+            table.moment(idx((1, 0)))
+
+    def test_keys_must_match_the_mode_count(self):
+        with pytest.raises(MomentDataError, match="key ad1 a2 has 2 modes, table has 3"):
+            TableMoments(3, {MonomialIndex.identity(3): 1.0, idx((1, 0), (0, 1)): 0.5})

@@ -1,6 +1,7 @@
 """Ordering, enumeration, and packing of operator multi-indices."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -197,6 +198,17 @@ class TestMonomialIndex:
         m = monomial_at(4, 400_000)
         assert position_of(m) == 400_000
         assert position_of(monomial_at(4, 399_999)) == 399_999
+
+    def test_large_exponent_matches_the_per_value_sum(self):
+        # The sum the closed form replaces: one binomial per smaller value t.
+        m = MonomialIndex.parse("a2^100000", 2)
+        u = m.pack()
+        rank, rem = 0, weight(u)
+        for c in range(len(u) - 1, 0, -1):
+            for t in range(u[c]):
+                rank += math.comb(rem - t + c - 1, c - 1)
+            rem -= u[c]
+        assert position_of(m) == count_up_to_weight(4, weight(u) - 1) + rank + 1
 
     def test_packed_positions_match_position_of(self):
         for modes, max_weight in ((1, 6), (3, 4)):

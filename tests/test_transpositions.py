@@ -18,6 +18,10 @@ def tset(modes, *members):
     return TranspositionSet.of(modes, *members)
 
 
+def decomposition(modes, *parts):
+    return Decomposition(modes, tuple(frozenset(p) for p in parts))
+
+
 def canonical(t):
     """Of the pair {I, complement}, the one not containing the top mode."""
     return t.complement() if t.modes in t.members else t
@@ -108,14 +112,14 @@ class TestCanonicalBipartitions:
 
 class TestDecomposition:
     def test_str_and_sorting(self):
-        d = Decomposition.of(4, (3, 4), (1,), (2,))
+        d = decomposition(4, (3, 4), (1,), (2,))
         assert str(d) == "{1|2|3,4}"
 
     def test_parts_partition_modes(self):
         with pytest.raises(ValueError):
-            Decomposition.of(3, (1, 2))
+            decomposition(3, (1, 2))
         with pytest.raises(ValueError):
-            Decomposition.of(3, (1, 2), (2, 3))
+            decomposition(3, (1, 2), (2, 3))
 
     def test_all_decompositions_counts(self):
         # Number of partitions into >= 2 blocks: Bell(n) - 1.
@@ -126,17 +130,17 @@ class TestDecomposition:
 
 class TestCoarsening:
     def test_pair_partition_coarsened_by_matching_cut_only(self):
-        pairs = Decomposition.of(4, (1, 2), (3, 4))
+        pairs = decomposition(4, (1, 2), (3, 4))
         cuts = bipartitions_coarsening(pairs)
         assert cuts == [tset(4, 1, 2)]
 
     def test_three_block_partition(self):
-        d = Decomposition.of(4, (1,), (2,), (3, 4))
+        d = decomposition(4, (1,), (2,), (3, 4))
         got = {str(t) for t in bipartitions_coarsening(d)}
         assert got == {"{1}", "{2}", "{1,2}"}
 
     def test_finest_yields_all_bipartitions(self):
-        got = bipartitions_coarsening(Decomposition.of(4, (1,), (2,), (3,), (4,)))
+        got = bipartitions_coarsening(decomposition(4, (1,), (2,), (3,), (4,)))
         assert got == canonical_bipartitions(4)
 
     def test_every_cut_separates_whole_blocks(self):
