@@ -6,10 +6,12 @@ moment's monomial in the graded sequence, shared by
 position enters the store only together with its value, so providers can be
 shared across concurrent evaluations.  The analytic states (coherent
 products, two-mode squeezed vacuum, the noisy W-type superposition of
-sign-flipped coherent states) and explicit truncated-Fock kets or density
-matrices, computed by direct matrix algebra, fill it with just the keys asked
-for.  A :class:`TableMoments` of measured or externally calculated moments
-fills it once, at construction, and reads and writes a JSON table format.
+sign-flipped coherent states), whose moments are exact finite sums, and
+explicit truncated-Fock kets or density matrices, computed by direct matrix
+algebra, fill it with just the keys asked for; a computed moment that
+overflows or is not finite raises :class:`NumericError` naming the state.  A
+:class:`TableMoments` of measured or externally calculated moments fills it
+once, at construction, and reads and writes a JSON table format.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class MomentProvider:
         position = position_of(key)
         value = self._values.get(position)
         if value is None:
-            value = self._values[position] = complex(self._compute(key))
+            value = self._values[position] = self._finite(key)
         return value
 
     def moments_at(self, positions: np.ndarray, packed: np.ndarray) -> np.ndarray:
@@ -63,7 +65,8 @@ class MomentProvider:
 
         Each position not yet cached is computed once, in position order;
         keys the provider cannot resolve are aggregated into one
-        :class:`UnresolvedMomentsError`.
+        :class:`UnresolvedMomentsError`, and the first moment that overflows
+        raises :class:`NumericError`.
         """
         at = positions.tolist()
         values = self._values
@@ -74,12 +77,22 @@ class MomentProvider:
             for position in new:
                 key = MonomialIndex.unpack(tuple(packed[row[position]].tolist()))
                 try:
-                    values[position] = complex(self._compute(key))
+                    values[position] = self._finite(key)
                 except UnresolvedMomentsError:
                     missing.append(key)
             if missing:
                 raise UnresolvedMomentsError(missing)
         return np.fromiter(map(values.__getitem__, at), dtype=complex, count=len(at))
+
+    def _finite(self, key: MonomialIndex) -> complex:
+        """``_compute(key)`` as a complex; an overflowing or non-finite value names the state."""
+        try:
+            value = complex(self._compute(key))
+        except OverflowError:
+            value = math.nan
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise NumericError(f"moment {key} of {self.label} overflows")
+        return value
 
     def _compute(self, key: MonomialIndex) -> complex:
         raise NotImplementedError
@@ -96,20 +109,19 @@ class CoherentProductMoments(MomentProvider):
 
     def _compute(self, key):
         value = 1.0 + 0.0j
-        try:
-            for g, (k, l) in zip(self.gammas, key.pairs):
-                value *= g.conjugate() ** k * g ** l
-        except OverflowError:
-            raise NumericError(f"moment {key} of {self.label} overflows") from None
+        for g, (k, l) in zip(self.gammas, key.pairs):
+            value *= g.conjugate() ** k * g ** l
         return value
 
 
 class TmsvMoments(MomentProvider):
     """Two-mode squeezed vacuum with squeezing parameter ``r``.
 
-    Moments are summed over the Schmidt series sech(r) sum_n tanh(r)^n |nn>;
-    photon-number difference conservation makes every odd-weight moment
-    vanish and the series converge geometrically.
+    The state is Gaussian with zero mean, so a moment is Wick's finite sum
+    over pairings of its operators by the nonzero contractions
+    <ad_i a_i> = sinh(r)^2 and <a_1 a_2> = <ad_1 ad_2> = cosh(r) sinh(r).
+    Pairing j creators of mode 1 with its annihilators fixes every other
+    pairing, and a moment vanishes unless k1 - l1 = k2 - l2.
     """
 
     def __init__(self, r: float):
@@ -119,39 +131,17 @@ class TmsvMoments(MomentProvider):
 
     def _compute(self, key):
         (k1, l1), (k2, l2) = key.pairs
-        delta = k1 - l1
-        if delta != k2 - l2:
+        if k1 - l1 != k2 - l2:
             return 0.0
-        t = math.tanh(self.r)
-        if t == 0.0:
-            return 1.0 if key.is_identity() else 0.0
-        sech2 = 1.0 - t * t
+        s = math.sinh(self.r)
+        cs = math.cosh(self.r) * s
         total = 0.0
-        n = max(l1, l2)
-        while True:
-            m = n + delta
-            term = (
-                sech2
-                * t ** (n + m)
-                * math.sqrt(
-                    _falling(m, k1) * _falling(m, k2) * _falling(n, l1) * _falling(n, l2)
-                )
-            )
-            total += term
-            n += 1
-            if n > max(l1, l2) + 5 and abs(term) < 1e-18 * (abs(total) + 1.0):
-                break
-            if n > 100000:  # pragma: no cover - geometric series never gets here
-                raise ArithmeticError("two-mode squeezing series failed to converge")
+        for j in range(max(k1 - k2, 0), min(k1, l1) + 1):
+            i = j + k2 - k1
+            pairings = (math.comb(k1, j) * math.comb(l1, j) * math.factorial(j)
+                        * math.perm(k2, k1 - j) * math.perm(l2, l1 - j) * math.factorial(i))
+            total += pairings * s ** (2 * (j + i)) * cs ** (k1 + l1 - 2 * j)
         return total
-
-
-def _falling(m: int, k: int) -> float:
-    """Falling factorial m (m-1) ... (m-k+1)."""
-    out = 1.0
-    for j in range(k):
-        out *= m - j
-    return out
 
 
 @dataclass(frozen=True)
@@ -184,10 +174,10 @@ class WStateMoments(MomentProvider):
     """Noisy superposition sum_i |a_1, ..., -a_i, ..., a_n> under Gaussian noise.
 
     Each of the n^2 bra/ket cross terms factorizes over modes into a
-    one-mode Gaussian integral of a polynomial, evaluated in closed form for
-    zero noise and by Gauss-Hermite quadrature otherwise (the quadrature is
-    exact for the polynomial degrees that occur).  Normalization is fixed by
-    dividing out the identity moment.
+    one-mode Gaussian integral of a polynomial, which is a finite sum (see
+    :func:`_gaussian_moment`) at every noise level; real amplitudes give
+    exactly real moments.  Normalization is fixed by dividing out the
+    identity moment.
     """
 
     def __init__(self, params: WStateParams):
@@ -245,44 +235,26 @@ class WStateMoments(MomentProvider):
         return value
 
 
-def _gaussian_moment(alpha: complex, nbar: float, k: int, l: int,
-                     overlap: bool, quad_points: int | None = None) -> complex:
+def _gaussian_moment(alpha: complex, nbar: float, k: int, l: int, overlap: bool) -> complex:
     """Integral of conj(b)^k b^l (times exp(-2|b|^2) if ``overlap``) under the
-    Gaussian kernel of mean ``alpha`` and variance ``nbar`` per quadrature axis.
+    Gaussian kernel exp(-|b - alpha|^2 / nbar) / (pi nbar).
 
-    The default (k + l) // 2 + 3 Gauss-Hermite points are exact for the
-    polynomial; ``quad_points`` overrides them."""
+    With the overlap weight folded in (sigma = 2, else 0) the kernel is
+    exp(-sigma|alpha|^2 / d) / d, d = 1 + sigma nbar, times a Gaussian of
+    mean mu = alpha / d and variance v = nbar / d, whose moment is the finite
+    sum over j of C(k, j) C(l, j) j! v^j conj(mu)^(k-j) mu^(l-j).  At zero
+    noise only the j = 0 term conj(alpha)^k alpha^l is left.
+    """
     sigma = 2.0 if overlap else 0.0
-    if nbar == 0.0:
-        value = alpha.conjugate() ** k * alpha ** l
-        if overlap:
-            value *= math.exp(-2.0 * abs(alpha) ** 2)
-        return value
-    c = 1.0 / nbar + sigma
-    points = quad_points if quad_points is not None else (k + l) // 2 + 3
-    nodes, weights = _hermgauss(points)
-    scale = 1.0 / math.sqrt(c)
-    prefactor = 1.0 / (math.pi * nbar * c)
-    for a in (alpha.real, alpha.imag):
-        prefactor *= math.exp(-sigma * a * a / (c * nbar))
-    mu_x = alpha.real / (nbar * c)
-    mu_y = alpha.imag / (nbar * c)
-    xs = mu_x + scale * nodes
-    ys = mu_y + scale * nodes
-    beta = xs[:, None] + 1j * ys[None, :]
-    poly = np.conj(beta) ** k * beta ** l
-    value = weights @ poly @ weights
-    return prefactor * complex(value)
-
-
-_HERMGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hermgauss(points: int):
-    got = _HERMGAUSS_CACHE.get(points)
-    if got is None:
-        got = _HERMGAUSS_CACHE[points] = np.polynomial.hermite.hermgauss(points)
-    return got
+    d = 1.0 + sigma * nbar
+    mu, v = alpha / d, nbar / d
+    mu_bar = mu.conjugate()
+    value = sum(
+        math.comb(k, j) * math.comb(l, j) * math.factorial(j) * v ** j
+        * mu_bar ** (k - j) * mu ** (l - j)
+        for j in range(min(k, l) + 1)
+    )
+    return value * (math.exp(-sigma * abs(alpha) ** 2 / d) / d)
 
 
 def _destroy(cutoff: int) -> np.ndarray:

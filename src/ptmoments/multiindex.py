@@ -12,6 +12,7 @@ on.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -24,32 +25,37 @@ MultiIndex = tuple[int, ...]
 def nth_multiindex(d: int, n: int) -> MultiIndex:
     """The ``n``-th multi-index of dimension ``d`` (1-based).
 
-    Exact inverse of :func:`position_of`: the weight block comes from
-    :func:`count_up_to_weight`, then coordinates are fixed from the top down
-    by skipping the blocks of same-weight indices with a smaller value there.
+    Exact inverse of :func:`position_of`, by bisection: the weight is the
+    least ``w`` with ``count_up_to_weight(d, w) >= n``, then coordinates are
+    fixed from the top down.  Of the same-weight indices that agree above
+    coordinate ``c``, the ``C(rem - t + c, c)`` with a value ``>= t`` there
+    come last (the hockey-stick sum of the blocks of each value), so the
+    value is the largest ``t`` whose count reaches the indices from ``n`` on.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 1:
         raise ValueError("position must be >= 1")
-    w = 0
-    while count_up_to_weight(d, w) < n:
-        w += 1
+    hi = 1
+    while count_up_to_weight(d, hi) < n:
+        hi *= 2
+    w = _first_true(hi + 1, lambda w: count_up_to_weight(d, w) >= n)
     rank = n - count_up_to_weight(d, w - 1) - 1
     out = [0] * d
     rem = w
-    for coord in range(d - 1, 0, -1):
-        t = 0
-        while True:
-            block = math.comb(rem - t + coord - 1, coord - 1)
-            if rank < block:
-                break
-            rank -= block
-            t += 1
-        out[coord] = t
+    for c in range(d - 1, 0, -1):
+        tail = math.comb(rem + c, c) - rank
+        t = _first_true(rem, lambda t: math.comb(rem - t - 1 + c, c) < tail)
+        rank = math.comb(rem - t + c, c) - tail
+        out[c] = t
         rem -= t
     out[0] = rem
     return tuple(out)
+
+
+def _first_true(stop: int, holds) -> int:
+    """Least ``x`` in ``range(stop)`` where the monotone predicate ``holds``, else ``stop``."""
+    return bisect.bisect_left(range(stop), True, key=holds)
 
 
 def count_up_to_weight(d: int, w: int) -> int:

@@ -2,8 +2,11 @@
 
 Everything here recomputes physics from first principles with dense matrix
 algebra (explicit density matrices, explicit partial transposition, explicit
-operator products), deliberately avoiding the package's normal-ordering and
-quadrature machinery so the two paths are independent.
+operator products), deliberately avoiding the package's normal-ordering
+algebra and its finite Gaussian and Wick sums so the two paths are
+independent.  The approximations those sums replaced, a Gauss-Hermite rule
+for one noisy mode factor and the Schmidt series of the two-mode squeezed
+vacuum, are kept here as references.
 """
 
 import itertools
@@ -184,6 +187,45 @@ def tmsv_vector(r, cutoff):
         vec[m, m] = t ** m
     vec = vec.reshape(-1)
     return vec / np.linalg.norm(vec)
+
+
+def gauss_hermite_factor(alpha, nbar, k, l, overlap):
+    """Integral of conj(b)^k b^l (times exp(-2|b|^2) if ``overlap``) under the
+    kernel exp(-|b - alpha|^2 / nbar) / (pi nbar), for ``nbar > 0``.
+
+    A Gauss-Hermite rule per quadrature axis; its (k + l) // 2 + 3 points
+    are exact for the polynomial.
+    """
+    sigma = 2.0 if overlap else 0.0
+    c = 1.0 / nbar + sigma
+    nodes, weights = np.polynomial.hermite.hermgauss((k + l) // 2 + 3)
+    prefactor = math.exp(-sigma * abs(alpha) ** 2 / (c * nbar)) / (math.pi * nbar * c)
+    xs = alpha.real / (nbar * c) + nodes / math.sqrt(c)
+    ys = alpha.imag / (nbar * c) + nodes / math.sqrt(c)
+    beta = xs[:, None] + 1j * ys[None, :]
+    return prefactor * complex(weights @ (np.conj(beta) ** k * beta ** l) @ weights)
+
+
+def tmsv_schmidt_series(r, key):
+    """Two-mode squeezed vacuum moment summed over sech(r) sum_n tanh(r)^n |nn>.
+
+    Terms are added until one falls below 1e-18 of the running total, which
+    takes ever more terms as tanh(r) approaches 1.
+    """
+    (k1, l1), (k2, l2) = key.pairs
+    delta = k1 - l1
+    if delta != k2 - l2:
+        return 0.0
+    t = math.tanh(r)
+    total, n = 0.0, max(l1, l2)
+    while True:
+        m = n + delta
+        falling = math.perm(m, k1) * math.perm(m, k2) * math.perm(n, l1) * math.perm(n, l2)
+        term = (1.0 - t * t) * t ** (n + m) * math.sqrt(falling)
+        total += term
+        n += 1
+        if n > max(l1, l2) + 5 and abs(term) < 1e-18 * (abs(total) + 1.0):
+            return total
 
 
 def wstate_vector(alphas, cutoffs):

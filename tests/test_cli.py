@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 
+from ptmoments import load_moment_table
 from ptmoments.cli import (
     EXIT_IO,
     EXIT_MISSING_MOMENTS,
@@ -207,6 +208,58 @@ class TestMomentsGen:
         second = invoke(argv)
         assert first == second
         assert first[0] == EXIT_OK
+
+
+class TestBuiltInStates:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--state", "coherent", "--gamma", "0.3,0.2-0.1i"],
+            ["--state", "tmsv", "--r", "0.6"],
+            ["--state", "tmsv", "--r", "5"],
+            ["--state", "tmsv", "--r", "20"],
+            ["--state", "wstate", "--alpha", "0.3", "--modes", "4"],
+            ["--state", "wstate", "--alpha", "0.3", "--modes", "4", "--nbar", "0.01"],
+        ],
+        ids=["coherent", "tmsv-0.6", "tmsv-5", "tmsv-20", "wstate", "wstate-noisy"],
+    )
+    def test_order_four_table_round_trip(self, tmp_path, flags):
+        path = write_table(tmp_path, "table.json", ["moments-gen", *flags, "--order", "4"])
+        table = load_moment_table(path.read_text())
+        assert table.max_order == 4
+        code, out, err = invoke(["certify", "--moments", str(path)])
+        assert code in (EXIT_OK, EXIT_NO_CERTIFICATE), err
+        assert json.loads(out)["certificate"] is (code == EXIT_OK)
+
+    def test_strong_squeezing_certified(self):
+        code, out, err = invoke(["certify", "--state", "tmsv", "--r", "5"])
+        assert code == EXIT_OK, err
+        assert json.loads(out)["certificate"] is True
+
+    def test_strong_squeezing_table_scans(self, tmp_path):
+        path = write_table(tmp_path, "tmsv.json",
+                           ["moments-gen", "--state", "tmsv", "--r", "20", "--order", "2"])
+        assert json.loads(path.read_text())["entries"][0]["re"] == 1.0
+        code, out, err = invoke(["scan", "--moments", str(path)])
+        assert code in (EXIT_OK, EXIT_NO_NEGATIVITY), err
+
+    @pytest.mark.parametrize(
+        "flags,label",
+        [
+            (["--state", "tmsv", "--r", "400"], "tmsv(r=400)"),
+            (["--state", "wstate", "--alpha", "1e100", "--modes", "2"],
+             "wstate(n=2, alpha=1e+100, nbar=0)"),
+        ],
+        ids=["tmsv", "wstate"],
+    )
+    @pytest.mark.parametrize("command", [["certify"], ["moments-gen", "--order", "4"]],
+                             ids=["certify", "moments-gen"])
+    def test_overflow_names_the_state(self, flags, label, command):
+        code, out, err = invoke(command + flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: moment ") and err.count("\n") == 1
+        assert err.endswith(f" of {label} overflows\n")
 
 
 class TestScan:

@@ -10,8 +10,10 @@ import pytest
 from conftest import (
     coherent_vector,
     direct_moment,
+    gauss_hermite_factor,
     noisy_wstate_density,
     padded_random_state,
+    tmsv_schmidt_series,
     tmsv_vector,
     wstate_vector,
 )
@@ -20,7 +22,9 @@ from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
     MomentDataError,
+    MomentProvider,
     MonomialIndex,
+    NumericError,
     Selection,
     TableMoments,
     TmsvMoments,
@@ -117,6 +121,28 @@ class TestTmsv:
             swapped = MonomialIndex((key.pairs[1], key.pairs[0]))
             assert prov.moment(key) == pytest.approx(prov.moment(swapped), abs=1e-12)
 
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
+    def test_matches_schmidt_series(self, r):
+        prov = TmsvMoments(r)
+        for key in keys_up_to_weight(2, 8):
+            if max(max(pair) for pair in key.pairs) <= 4:
+                want = tmsv_schmidt_series(r, key)
+                assert prov.moment(key) == pytest.approx(want, rel=1e-10), str(key)
+
+    @pytest.mark.parametrize("r", [5.0, 10.0, 20.0])
+    def test_strong_squeezing(self, r):
+        # The Schmidt series needs ever more terms as tanh(r) nears 1; the
+        # pairing sum has one term per pairing whatever r is.
+        prov = TmsvMoments(r)
+        assert prov.moment(MonomialIndex.identity(2)) == 1.0
+        assert prov.moment(idx((1, 1), (0, 0))) == pytest.approx(math.sinh(r) ** 2, rel=1e-14)
+
+    def test_overflow_names_the_state(self):
+        prov = TmsvMoments(400.0)
+        assert prov.moment(MonomialIndex.identity(2)) == 1.0
+        with pytest.raises(NumericError, match=r"moment ad1 a1 of tmsv\(r=400\) overflows"):
+            prov.moment(idx((1, 1), (0, 0)))
+
     def test_matches_fock_oracle(self):
         r = 0.6
         oracle = FockStateMoments(tmsv_vector(r, 30), (30, 30))
@@ -209,12 +235,11 @@ class TestWStateNoisy:
             want = direct_moment(rho, (16, 16), key)
             assert prov.moment(key) == pytest.approx(want, abs=1e-8), str(key)
 
-    def test_quadrature_refinement_stable(self):
-        for key in (idx((1, 1), (0, 0), (0, 0)), idx((0, 1), (0, 1), (2, 0))):
-            for (k, l), overlap in itertools.product(key.pairs, (False, True)):
-                coarse = _gaussian_moment(0.5 + 0j, 0.07, k, l, overlap)
-                fine = _gaussian_moment(0.5 + 0j, 0.07, k, l, overlap, 24)
-                assert coarse == pytest.approx(fine, abs=1e-10)
+    def test_overflow_names_the_state(self):
+        prov = WStateMoments(WStateParams.symmetric(2, 1e100))
+        with pytest.raises(NumericError, match=r"of wstate\(n=2, alpha=1e\+100, nbar=0\) overflows"):
+            for key in keys_up_to_weight(2, 4):
+                prov.moment(key)
 
     def test_small_noise_limit(self):
         params0 = WStateParams.symmetric(2, 0.4)
@@ -233,6 +258,35 @@ class TestWStateNoisy:
         assert sym.alphas == (0.2 + 0j,) * 3
         assert sym.nbars == (0.01,) * 3
         assert sym.modes == 3
+
+
+class TestRealMoments:
+    """Real parameters give exactly real moments and scan matrices."""
+
+    STATES = {
+        "wstate-pure": lambda: WStateMoments(WStateParams.symmetric(4, 0.3)),
+        "wstate-noisy": lambda: WStateMoments(WStateParams.symmetric(4, 0.3, 0.01)),
+        "tmsv": lambda: TmsvMoments(0.6),
+        "coherent": lambda: CoherentProductMoments((0.4, -0.2, 0.7)),
+    }
+
+    @staticmethod
+    def scan_moments(prov, order=2):
+        """Every moment up to the weight the order-``order`` scan matrix reads."""
+        count = count_up_to_weight(2 * prov.modes, 2 * order)
+        return [prov.moment(monomial_at(prov.modes, p)) for p in range(1, count + 1)]
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_real_parameters_give_real_moments(self, name):
+        prov = self.STATES[name]()
+        assert all(value.imag == 0.0 for value in self.scan_moments(prov))
+        scan = Selection.up_to_weight(prov.modes, 2)
+        for cut in canonical_bipartitions(prov.modes):
+            assert not build_matrix(prov, cut, scan).values.imag.any(), cut
+
+    def test_complex_amplitude_keeps_imaginary_parts(self):
+        prov = WStateMoments(WStateParams.symmetric(4, 0.3 + 0.1j, 0.01))
+        assert sum(value.imag != 0.0 for value in self.scan_moments(prov)) > 100
 
 
 class TestGaussianMoment:
@@ -254,24 +308,78 @@ class TestGaussianMoment:
     def test_against_numerical_integral(self, k, l, overlap):
         alpha = 0.4 + 0.25j
         nbar = 0.3
-        got = _gaussian_moment(alpha, nbar, k, l, overlap, None)
+        got = _gaussian_moment(alpha, nbar, k, l, overlap)
         want = self.brute_force(alpha, nbar, k, l, overlap)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     def test_zero_noise_closed_form(self):
         alpha = 0.3 - 0.2j
-        assert _gaussian_moment(alpha, 0.0, 2, 1, False, None) == pytest.approx(
+        assert _gaussian_moment(alpha, 0.0, 2, 1, False) == pytest.approx(
             np.conj(alpha) ** 2 * alpha
         )
-        assert _gaussian_moment(alpha, 0.0, 0, 0, True, None) == pytest.approx(
+        assert _gaussian_moment(alpha, 0.0, 0, 0, True) == pytest.approx(
             math.exp(-2.0 * abs(alpha) ** 2)
         )
 
     def test_zero_noise_is_limit_of_small_noise(self):
         alpha = 0.5 + 0.1j
-        exact = _gaussian_moment(alpha, 0.0, 1, 2, True, None)
-        tiny = _gaussian_moment(alpha, 1e-10, 1, 2, True, 20)
+        exact = _gaussian_moment(alpha, 0.0, 1, 2, True)
+        tiny = _gaussian_moment(alpha, 1e-10, 1, 2, True)
         assert tiny == pytest.approx(exact, rel=1e-6)
+
+    @staticmethod
+    def seeded_factors(count):
+        """(alpha, nbar, k, l, overlap) with |alpha| <= 1.5, nbar <= 1 and k, l <= 6."""
+        rng = np.random.default_rng(13)
+        for _ in range(count):
+            alpha = 1.5 * math.sqrt(rng.uniform()) * complex(np.exp(2j * np.pi * rng.uniform()))
+            nbar = float(rng.choice([0.0, 0.01, rng.uniform(0.0, 1.0)]))
+            k, l = (int(x) for x in rng.integers(0, 7, size=2))
+            yield alpha, nbar, k, l, bool(rng.integers(2))
+
+    @staticmethod
+    def real_axis_reference(alpha, nbar, k, l, overlap):
+        """The factor at 50 digits, expanded over the real and imaginary axes.
+
+        Completing the square per axis leaves exp(-sigma a^2 / d) / sqrt(d)
+        times a normal law of mean a / d and variance nbar / (2 d), whose
+        moments E[X^p] = sum_i C(p, 2i) m^(p-2i) s2^i (2i-1)!! enter
+        (x - iy)^k (x + iy)^l term by term.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            sigma = 2 if overlap else 0
+            nbar = mpmath.mpf(nbar)
+            d = 1 + sigma * nbar
+            axes = []
+            for a in (mpmath.mpf(alpha.real), mpmath.mpf(alpha.imag)):
+                m, s2 = a / d, nbar / (2 * d)
+                moments = [
+                    sum(math.comb(p, 2 * i) * m ** (p - 2 * i) * s2 ** i
+                        * mpmath.fac2(2 * i - 1) for i in range(p // 2 + 1))
+                    for p in range(k + l + 1)
+                ]
+                axes.append((mpmath.exp(-sigma * a * a / d) / mpmath.sqrt(d), moments))
+            (gx, ex), (gy, ey) = axes
+            total = mpmath.mpc(0)
+            for a, b in itertools.product(range(k + 1), range(l + 1)):
+                phase = (-1j) ** (k - a) * 1j ** (l - b)
+                total += (math.comb(k, a) * math.comb(l, b) * mpmath.mpc(phase)
+                          * ex[a + b] * ey[k - a + l - b])
+            return complex(gx * gy * total)
+
+    def test_matches_fifty_digit_reference(self):
+        for alpha, nbar, k, l, overlap in self.seeded_factors(200):
+            want = self.real_axis_reference(alpha, nbar, k, l, overlap)
+            got = _gaussian_moment(alpha, nbar, k, l, overlap)
+            assert abs(got - want) <= 1e-14 * abs(want), (alpha, nbar, k, l, overlap)
+
+    def test_matches_gauss_hermite_reference(self):
+        for alpha, nbar, k, l, overlap in self.seeded_factors(200):
+            if nbar > 0.0:
+                want = gauss_hermite_factor(alpha, nbar, k, l, overlap)
+                got = _gaussian_moment(alpha, nbar, k, l, overlap)
+                assert got == pytest.approx(want, rel=1e-10), (alpha, nbar, k, l, overlap)
 
 
 class TestFockOracle:
@@ -449,6 +557,21 @@ class TestMomentTable:
         # All monomials of weight <= 2 in one mode: 1, a, ad, a^2, ad a, ad^2.
         assert len(json.loads(moment_table_to_json(table))["entries"]) == 6
         assert table.max_order == 2
+
+    @pytest.mark.parametrize("bad", [math.inf, complex(0.0, math.nan), OverflowError])
+    def test_table_from_provider_refuses_a_non_finite_moment(self, bad):
+        class Blowup(MomentProvider):
+            label = "blowup"
+
+            def _compute(self, key):
+                if key.weight < 2:
+                    return 1.0
+                if bad is OverflowError:
+                    raise OverflowError("math range error")
+                return bad
+
+        with pytest.raises(NumericError, match=r"^moment a1\^2 of blowup overflows$"):
+            table_from_provider(Blowup(1), order=2)
 
     def test_huge_exponent_loads(self):
         # Ranking is closed form, so an exponent of 10**9 costs no walk.

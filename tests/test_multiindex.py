@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ class TestNth:
             for n in range(1, 80):
                 assert nth_multiindex(d, n) == u
                 u = next_multiindex(u)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_huge_exponents_round_trip_at_once(self, d):
+        # Unranking bisects the weight and each coordinate, so it takes no
+        # walk through the values below an exponent.
+        rng = np.random.default_rng(d)
+        edges = [(10**9,) + (0,) * (d - 1), (0,) * (d - 1) + (10**9,), (10**9,) * d]
+        drawn = [tuple(int(x) for x in rng.integers(0, 10**9, size=d, endpoint=True))
+                 for _ in range(20)]
+        start = time.perf_counter()
+        for u in edges + drawn:
+            assert nth_multiindex(d, position_of(MonomialIndex.unpack(u))) == u
+        assert time.perf_counter() - start < 0.1
 
     def test_count_up_to_weight(self):
         assert count_up_to_weight(2, 2) == 6
