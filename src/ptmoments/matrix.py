@@ -124,17 +124,19 @@ class MinorResult:
         }
 
 
+# Overflow is refused by name where it matters, so numpy's warnings about it stay silent.
+@np.errstate(over="ignore", invalid="ignore")
 def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     """Evaluate the moment matrix for ``selection`` under partial transposition.
 
     Entries are gathered from the selection's compiled entry plan (see
     :func:`~ptmoments.operator_algebra.plan_for`): the plan's distinct keys
     are ranked with the transposed modes' exponents swapped and their moments
-    fetched from the provider in one call.
-    Both triangles are computed independently, the Hermiticity defect is
-    recorded, and the matrix is symmetrized as (m + m†)/2.  Any moments the
-    provider cannot resolve are aggregated into a single error listing every
-    missing key; non-finite moments raise :class:`NumericError`.
+    fetched from the provider in one call.  Both triangles are computed
+    independently; an overflowing entry, or a non-finite moment (every plan
+    coefficient is a positive integer), raises :class:`NumericError` naming
+    the provider.  The Hermiticity defect is recorded, the matrix symmetrized
+    as (m + m†)/2, and unresolved moments are reported all at once.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -145,8 +147,6 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     keys = plan.keys[:, swap]
     positions = packed_positions(keys, plan.binomials)
     moments = provider.moments_at(positions, keys)
-    if not np.all(np.isfinite(moments)):
-        raise NumericError(f"moments of {getattr(provider, 'label', 'provider')} are not finite")
     # Sum every entry's terms in position order, which keeps matrices bitwise stable.
     order = np.argsort(plan.entry * (int(positions.max()) + 1) + positions[plan.key_index])
     entry = plan.entry[order]
@@ -156,6 +156,9 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     values.real = np.bincount(entry, weights=terms.real, minlength=n * n)
     values.imag = np.bincount(entry, weights=terms.imag, minlength=n * n)
     values = values.reshape(n, n)
+    label = getattr(provider, "label", "provider")
+    if not np.all(np.isfinite(values)):
+        raise NumericError(f"matrix entries of {label} overflow")
     residual = float(np.max(np.abs(values - values.conj().T)))
     if residual > HERMITICITY_TOL:
         raise MomentDataError(
@@ -166,37 +169,46 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
         selection=selection,
         transposition=transposed,
         values=values,
-        provenance=getattr(provider, "label", "provider"),
+        provenance=label,
         hermiticity_residual=residual,
     )
 
 
 def determinant(matrix: MomentMatrix) -> MinorResult:
-    """Real determinant of the matrix with verdict at a scale-aware tolerance.
+    """Real determinant of the matrix with its verdict from :func:`_verdict`.
 
     The determinant of a Hermitian matrix is real; an imaginary part is
     rounding and is refused only when it is above both 1e-6 relative to the
     real part and the negativity threshold, below which it cannot move a
     verdict.
     """
-    values = matrix.values
-    if not np.all(np.isfinite(values)):
-        raise NumericError("matrix contains non-finite entries")
-    det = complex(np.linalg.det(values))
-    threshold = negativity_threshold(values)
+    det, threshold, negative = _verdict(matrix)
     imag_residual = abs(det.imag)
     if imag_residual > max(1e-6 * max(1.0, abs(det.real)), threshold):
         raise NumericError(
             f"determinant imaginary part {det.imag:.3e} too large for a Hermitian matrix"
         )
-    verdict = "negative" if det.real < -threshold else "nonnegative"
     return MinorResult(
         selection=matrix.selection,
         transposition=matrix.transposition,
         determinant=det.real,
         imag_residual=imag_residual,
-        verdict=verdict,
+        verdict="negative" if negative else "nonnegative",
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _verdict(matrix: MomentMatrix, indices=None) -> tuple[complex, float, bool]:
+    """The one rule for every minor: (det, threshold, det.real < -threshold)
+    of the principal block on ``indices`` (all rows by default); a value that
+    overflows raises :class:`NumericError` naming the matrix's source."""
+    block = matrix.values if indices is None else matrix.values[np.ix_(indices, indices)]
+    det = complex(np.linalg.det(block))
+    threshold = negativity_threshold(block)
+    if not (np.isfinite(det) and np.isfinite(threshold)):
+        raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
+                           f"threshold {threshold}")
+    return det, threshold, det.real < -threshold
 
 
 def negativity_threshold(values: np.ndarray) -> float:
@@ -252,7 +264,7 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
         return ScanResult(min_eigenvalue, None, None)
     dominant = np.abs(vectors[:, 0])
     order = sorted(range(size), key=lambda i: (-dominant[i], i))
-    indices = _extract_witness(matrix.values, order, max_minor_size)
+    indices = _extract_witness(matrix, order, max_minor_size)
     if indices is None:
         return ScanResult(min_eigenvalue, None, None)
     witness = Selection(tuple(sorted(selection.positions[i] for i in indices)))
@@ -260,7 +272,8 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     return ScanResult(min_eigenvalue, witness, minor)
 
 
-def _extract_witness(values: np.ndarray, order: list[int],
+@np.errstate(over="ignore", invalid="ignore")
+def _extract_witness(matrix: MomentMatrix, order: list[int],
                      max_minor_size: int) -> tuple[int, ...] | None:
     """Indices of a small negative principal minor, or None if none found.
 
@@ -270,24 +283,24 @@ def _extract_witness(values: np.ndarray, order: list[int],
     rows carrying little eigenvector weight (typically the identity row).
     The first extension whose determinant is below the threshold is shrunk.
     """
-    diagonal = np.real(np.diagonal(values))
+    diagonal = np.real(np.diagonal(matrix.values))
     for k in range(min(len(order), max_minor_size)):
         prefix = np.array(order[:k], dtype=int)
-        rows = values[prefix, :]
+        rows = matrix.values[prefix, :]
         try:
-            solved = np.linalg.solve(values[np.ix_(prefix, prefix)], rows)
+            solved = np.linalg.solve(matrix.values[np.ix_(prefix, prefix)], rows)
         except np.linalg.LinAlgError:
             continue
         schur = diagonal - np.real(np.sum(rows.conj() * solved, axis=0))
         schur[prefix] = np.inf
         best = int(np.argmin(schur))
         candidate = tuple(order[:k]) + (best,)
-        if schur[best] < 0.0 and _negative(values, candidate):
-            return _greedy_shrink(values, candidate)
+        if schur[best] < 0.0 and _verdict(matrix, candidate)[2]:
+            return _greedy_shrink(matrix, candidate)
     return None
 
 
-def _greedy_shrink(values: np.ndarray, indices: tuple[int, ...]) -> tuple[int, ...]:
+def _greedy_shrink(matrix: MomentMatrix, indices: tuple[int, ...]) -> tuple[int, ...]:
     """Drop members one at a time while the determinant stays negative."""
     current = list(indices)
     changed = True
@@ -295,18 +308,11 @@ def _greedy_shrink(values: np.ndarray, indices: tuple[int, ...]) -> tuple[int, .
         changed = False
         for drop in reversed(range(len(current))):
             trial = tuple(current[:drop] + current[drop + 1:])
-            if _negative(values, trial):
+            if _verdict(matrix, trial)[2]:
                 current = list(trial)
                 changed = True
                 break
     return tuple(current)
-
-
-def _negative(values: np.ndarray, indices) -> bool:
-    """Whether the principal block on ``indices`` fails :func:`determinant`'s test."""
-    idx = np.asarray(indices)
-    block = values[np.ix_(idx, idx)]
-    return float(np.linalg.det(block).real) < -negativity_threshold(block)
 
 
 def named_minor(provider, transposed, pairs) -> MinorResult:

@@ -1,14 +1,14 @@
 """Sources of normally ordered moments ``<ad^k a^l>`` of concrete states.
 
 Every provider keeps its moments in one store keyed by the position of the
-moment's monomial in the graded sequence, shared by
-:meth:`MomentProvider.moment` and :meth:`MomentProvider.moments_at`.  A
-position enters the store only together with its value, so providers can be
-shared across concurrent evaluations.  The analytic states (coherent
-products, two-mode squeezed vacuum, the noisy W-type superposition of
-sign-flipped coherent states), whose moments are exact finite sums, and
-explicit truncated-Fock kets or density matrices, computed by direct matrix
-algebra, fill it with just the keys asked for; a computed moment that
+moment's monomial in the graded sequence.  A position enters the store only
+together with its value, so providers can be shared across concurrent
+evaluations.  The analytic states (coherent products, two-mode squeezed
+vacuum, the noisy W-type superposition of sign-flipped coherent states),
+whose moments are exact finite sums, and explicit truncated-Fock kets or
+density matrices, computed by direct matrix algebra, fill it with just the
+keys asked for, all through :meth:`MomentProvider.moments_at`, which
+:meth:`MomentProvider.moment` reads through; a computed moment that
 overflows or is not finite raises :class:`NumericError` naming the state.  A
 :class:`TableMoments` of measured or externally calculated moments fills it
 once, at construction, and reads and writes a JSON table format.
@@ -16,6 +16,7 @@ once, at construction, and reads and writes a JSON table format.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import string
@@ -44,7 +45,7 @@ class MomentProvider:
         self._values: dict[int, complex] = {}
 
     def moment(self, key: MonomialIndex) -> complex:
-        """Normally ordered moment for ``key``.
+        """Normally ordered moment for ``key``, read through :meth:`moments_at`.
 
         The identity's moment is the state's normalisation: 1 for the
         analytic states and Fock kets, the trace (1 within 1e-10) for a Fock
@@ -54,19 +55,16 @@ class MomentProvider:
         """
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
-        position = position_of(key)
-        value = self._values.get(position)
-        if value is None:
-            value = self._values[position] = self._finite(key)
-        return value
+        return self.moments_at(np.array([position_of(key)]), np.array([key.pack()])).item()
 
     def moments_at(self, positions: np.ndarray, packed: np.ndarray) -> np.ndarray:
         """Moments at distinct 1-based ``positions``, whose packed keys are the rows of ``packed``.
 
-        Each position not yet cached is computed once, in position order;
-        keys the provider cannot resolve are aggregated into one
-        :class:`UnresolvedMomentsError`, and the first moment that overflows
-        raises :class:`NumericError`.
+        This is the one routine that fills the store: each position not yet
+        cached is computed once, in position order; keys the provider cannot
+        resolve are aggregated into one :class:`UnresolvedMomentsError`, and
+        the first moment that overflows or is not finite raises
+        :class:`NumericError` naming the state.
         """
         at = positions.tolist()
         values = self._values
@@ -77,22 +75,18 @@ class MomentProvider:
             for position in new:
                 key = MonomialIndex.unpack(tuple(packed[row[position]].tolist()))
                 try:
-                    values[position] = self._finite(key)
+                    value = complex(self._compute(key))
                 except UnresolvedMomentsError:
                     missing.append(key)
+                    continue
+                except OverflowError:
+                    value = math.nan
+                if not cmath.isfinite(value):
+                    raise NumericError(f"moment {key} of {self.label} overflows")
+                values[position] = value
             if missing:
                 raise UnresolvedMomentsError(missing)
         return np.fromiter(map(values.__getitem__, at), dtype=complex, count=len(at))
-
-    def _finite(self, key: MonomialIndex) -> complex:
-        """``_compute(key)`` as a complex; an overflowing or non-finite value names the state."""
-        try:
-            value = complex(self._compute(key))
-        except OverflowError:
-            value = math.nan
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise NumericError(f"moment {key} of {self.label} overflows")
-        return value
 
     def _compute(self, key: MonomialIndex) -> complex:
         raise NotImplementedError

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 
@@ -66,6 +67,18 @@ def write_table(tmp_path, name, argv):
     code, out, err = invoke(argv + ["--out", str(path)])
     assert code == EXIT_OK, err
     assert out == ""
+    return path
+
+
+def diagonal_table(path, value):
+    """2-mode order-4 table: identity 1, every other key with k = l set to ``value``, the rest 0."""
+    entries = []
+    for k1, l1, k2, l2 in itertools.product(range(5), repeat=4):
+        if 0 < k1 + l1 + k2 + l2 <= 4:
+            re = value if (k1, k2) == (l1, l2) else 0.0
+            entries.append({"k": [k1, k2], "l": [l1, l2], "re": re, "im": 0.0})
+    entries.append({"k": [0, 0], "l": [0, 0], "re": 1.0, "im": 0.0})
+    path.write_text(json.dumps({"modes": 2, "entries": entries}))
     return path
 
 
@@ -476,6 +489,17 @@ class TestCertify:
         assert out == ""
         assert "k=[0, 0], l=[0, 0] is not finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["certify", "scan"])
+    @pytest.mark.parametrize("value, what", [(1e200, "a minor"), (1e308, "matrix entries")])
+    def test_overflow_refused_by_name(self, tmp_path, command, value, what):
+        # At 1e200 the entries are finite but 2x2 minors reach -1e400; at
+        # 1e308 the entries themselves overflow.  Neither may print a verdict.
+        path = diagonal_table(tmp_path / "huge.json", value)
+        code, out, err = invoke([command, "--moments", str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {what} of table:{path} overflow")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "field, where, value",

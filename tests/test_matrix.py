@@ -86,6 +86,14 @@ class TestBuildMatrix:
         assert matrix.hermiticity_residual < 1e-12
         assert matrix.size == 5
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_moment_refused_by_name(self, value):
+        # A table built in code skips the loader's checks; the one entry check still sees them.
+        keys = [monomial_at(1, p) for p in range(1, count_up_to_weight(2, 2) + 1)]
+        entries = {key: value if key == idx((1, 1)) else float(key.weight == 0) for key in keys}
+        with pytest.raises(NumericError, match=r"^matrix entries of blowup overflow$"):
+            build_matrix(TableMoments(1, entries, label="blowup"), None, Selection.leading(3))
+
     def test_coherent_row_proportionality(self):
         # Annihilators act as eigenvalues on a coherent state, so the row of
         # a1 is conj(gamma) times the identity row.
@@ -314,6 +322,16 @@ class TestDeterminant:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             determinant(self.manual_matrix([[math.inf]]))
+
+    @pytest.mark.parametrize("values, det", [
+        # det is -1e200, but the product of |diag| overflows: the threshold
+        # would be inf and call every minor nonnegative.
+        (np.diag([1e200, 1e200, -1e-200]), "-1"),
+        ([[1.0, 1e200], [1e200, 1e200]], "-inf"),
+    ], ids=["threshold", "determinant"])
+    def test_overflow_refused(self, values, det):
+        with pytest.raises(NumericError, match=rf"^a minor of manual overflows: det \({det}"):
+            determinant(self.manual_matrix(values))
 
     def test_complex_determinant_rejected(self):
         with pytest.raises(NumericError, match="imaginary"):
