@@ -174,41 +174,38 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     )
 
 
-def determinant(matrix: MomentMatrix) -> MinorResult:
-    """Real determinant of the matrix with its verdict from :func:`_verdict`.
-
-    The determinant of a Hermitian matrix is real; an imaginary part is
-    rounding and is refused only when it is above both 1e-6 relative to the
-    real part and the negativity threshold, below which it cannot move a
-    verdict.
+@np.errstate(over="ignore", invalid="ignore")
+def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
+    """The one rule for every minor: the principal block on the sorted
+    ``indices`` (all rows by default) is negative when its determinant is
+    below -:func:`negativity_threshold`.  An overflowing determinant or
+    threshold raises :class:`NumericError` naming the matrix's source; so
+    does an imaginary part (rounding, for a Hermitian matrix) above both 1e-6
+    relative to the real part and the threshold, below which it cannot move
+    a verdict.
     """
-    det, threshold, negative = _verdict(matrix)
+    selection, block = matrix.selection, matrix.values
+    if indices is not None:
+        indices = sorted(indices)
+        selection = Selection(tuple(selection.positions[i] for i in indices))
+        block = block[np.ix_(indices, indices)]
+    det = complex(np.linalg.det(block))
+    threshold = negativity_threshold(block)
+    if not (np.isfinite(det) and np.isfinite(threshold)):
+        raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
+                           f"threshold {threshold}")
     imag_residual = abs(det.imag)
     if imag_residual > max(1e-6 * max(1.0, abs(det.real)), threshold):
         raise NumericError(
             f"determinant imaginary part {det.imag:.3e} too large for a Hermitian matrix"
         )
     return MinorResult(
-        selection=matrix.selection,
+        selection=selection,
         transposition=matrix.transposition,
         determinant=det.real,
         imag_residual=imag_residual,
-        verdict="negative" if negative else "nonnegative",
+        verdict="negative" if det.real < -threshold else "nonnegative",
     )
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _verdict(matrix: MomentMatrix, indices=None) -> tuple[complex, float, bool]:
-    """The one rule for every minor: (det, threshold, det.real < -threshold)
-    of the principal block on ``indices`` (all rows by default); a value that
-    overflows raises :class:`NumericError` naming the matrix's source."""
-    block = matrix.values if indices is None else matrix.values[np.ix_(indices, indices)]
-    det = complex(np.linalg.det(block))
-    threshold = negativity_threshold(block)
-    if not (np.isfinite(det) and np.isfinite(threshold)):
-        raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
-                           f"threshold {threshold}")
-    return det, threshold, det.real < -threshold
 
 
 def negativity_threshold(values: np.ndarray) -> float:
@@ -227,8 +224,11 @@ class ScanResult:
     """Outcome of an eigenvalue negativity scan with optional minor witness."""
 
     min_eigenvalue: float
-    witness: Selection | None
     minor: MinorResult | None
+
+    @property
+    def witness(self) -> Selection | None:
+        return None if self.minor is None else self.minor.selection
 
     @property
     def negative(self) -> bool:
@@ -241,47 +241,48 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
 
     The matrix over all monomials of weight at most ``max_order`` is
     diagonalized; if the minimum eigenvalue is below ``-tol``, a compact
-    negative principal minor is sought along the eigenvector's weight order:
+    negative principal minor is sought along the eigenvector's weight order,
+    with weights that agree to ``DET_TOL_SCALE`` taken in position order:
     each prefix is extended by its most negative Schur-complement column,
     and the first negative extension, of at most ``max_minor_size`` rows, is
     greedily shrunk.  With no such extension the witness is None.  The minor
-    returned is rebuilt from scratch, so it is independently checkable.
+    returned is a block of the scanned matrix, judged by :func:`determinant`.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    modes = provider.modes
-    transposed = _as_transposition(transposed, modes)
-    size = count_up_to_weight(2 * modes, max_order)
+    size = count_up_to_weight(2 * provider.modes, max_order)
     if size > SIZE_CAP:
         raise ResourceLimitError(
             f"scan matrix would be {size}x{size}, above the cap {SIZE_CAP}"
         )
-    selection = Selection.leading(size)
-    matrix = build_matrix(provider, transposed, selection)
+    matrix = build_matrix(provider, transposed, Selection.leading(size))
     eigenvalues, vectors = np.linalg.eigh(matrix.values)
     min_eigenvalue = float(eigenvalues[0])
     if min_eigenvalue >= -tol:
-        return ScanResult(min_eigenvalue, None, None)
-    dominant = np.abs(vectors[:, 0])
-    order = sorted(range(size), key=lambda i: (-dominant[i], i))
+        return ScanResult(min_eigenvalue, None)
+    weight = np.abs(vectors[:, 0])
+    heaviest = np.argsort(-weight, kind="stable")
+    # A tie group ends wherever the sorted weights drop by more than the tolerance.
+    group = np.cumsum(np.diff(weight[heaviest], prepend=weight[heaviest[0]]) < -DET_TOL_SCALE)
+    order = heaviest[np.lexsort((heaviest, group))].tolist()
     indices = _extract_witness(matrix, order, max_minor_size)
     if indices is None:
-        return ScanResult(min_eigenvalue, None, None)
-    witness = Selection(tuple(sorted(selection.positions[i] for i in indices)))
-    minor = principal_minor(provider, transposed, witness)
-    return ScanResult(min_eigenvalue, witness, minor)
+        return ScanResult(min_eigenvalue, None)
+    return ScanResult(min_eigenvalue, determinant(matrix, indices))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _extract_witness(matrix: MomentMatrix, order: list[int],
-                     max_minor_size: int) -> tuple[int, ...] | None:
+                     max_minor_size: int) -> list[int] | None:
     """Indices of a small negative principal minor, or None if none found.
 
     Each prefix of ``order``, the empty one first, is extended by the column
     whose Schur complement against the prefix block is most negative: with a
     positive prefix determinant that flips the sign, and it picks up anchor
     rows carrying little eigenvector weight (typically the identity row).
-    The first extension whose determinant is below the threshold is shrunk.
+    Schur values within ``DET_TOL_SCALE * |min|`` of the minimum tie, and the
+    lowest index wins.  The first extension :func:`determinant` calls
+    negative is shrunk.
     """
     diagonal = np.real(np.diagonal(matrix.values))
     for k in range(min(len(order), max_minor_size)):
@@ -293,26 +294,27 @@ def _extract_witness(matrix: MomentMatrix, order: list[int],
             continue
         schur = diagonal - np.real(np.sum(rows.conj() * solved, axis=0))
         schur[prefix] = np.inf
-        best = int(np.argmin(schur))
-        candidate = tuple(order[:k]) + (best,)
-        if schur[best] < 0.0 and _verdict(matrix, candidate)[2]:
+        low = schur.min()
+        if not np.isfinite(low):
+            raise NumericError(f"a minor of {matrix.provenance} overflows: Schur {low}")
+        best = int(np.argmax(schur <= low + DET_TOL_SCALE * abs(low)))
+        candidate = order[:k] + [best]
+        if low < 0.0 and determinant(matrix, candidate).negative:
             return _greedy_shrink(matrix, candidate)
     return None
 
 
-def _greedy_shrink(matrix: MomentMatrix, indices: tuple[int, ...]) -> tuple[int, ...]:
+def _greedy_shrink(matrix: MomentMatrix, indices: list[int]) -> list[int]:
     """Drop members one at a time while the determinant stays negative."""
-    current = list(indices)
-    changed = True
-    while changed and len(current) > 1:
-        changed = False
-        for drop in reversed(range(len(current))):
-            trial = tuple(current[:drop] + current[drop + 1:])
-            if _verdict(matrix, trial)[2]:
-                current = list(trial)
-                changed = True
+    while len(indices) > 1:
+        for drop in reversed(range(len(indices))):
+            trial = indices[:drop] + indices[drop + 1:]
+            if determinant(matrix, trial).negative:
+                indices = trial
                 break
-    return tuple(current)
+        else:
+            break
+    return indices
 
 
 def named_minor(provider, transposed, pairs) -> MinorResult:

@@ -102,9 +102,6 @@ class MonomialIndex:
     def annihilation(self) -> tuple[int, ...]:
         return tuple(l for _, l in self.pairs)
 
-    def is_identity(self) -> bool:
-        return all(k == 0 and l == 0 for k, l in self.pairs)
-
     def conjugate(self) -> "MonomialIndex":
         """Swap creation and annihilation exponents (Hermitian partner key)."""
         return MonomialIndex(tuple((l, k) for k, l in self.pairs))

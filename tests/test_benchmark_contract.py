@@ -2,13 +2,14 @@
 
 ``perfbench/tracer.py`` times layers from outside, by rebinding names the
 package exports, and ``tracer.summarize`` silently leaves out a layer whose
-spans never occur.  These tests run the three kinds of traced unit a CLI
-workload uses (the layer probe, the cold build and one replayed ``certify``),
-each in a fresh process as ``perfbench/run.py`` does, and check that their
-summary holds exactly the per-layer metrics of ``BENCHMARK.json``, all
-finite.  ``run.py`` prints its result as the last line of stdout, which it
-shares with the fresh-import timing children, so importing must print
-nothing.
+spans never occur.  These tests run the units of two traced runs, each unit
+in a fresh process as ``perfbench/run.py`` does: that of a CLI workload (the
+layer probe, the cold build and one replayed ``certify``) and that of
+``grid_scan`` (the probe and cold build on its last point's state, then one
+``grid`` unit).  Each summary must hold exactly the per-layer metrics of
+``BENCHMARK.json``, all finite.  ``run.py`` prints its result as the last line
+of stdout, which it shares with the fresh-import timing children, so
+importing must print nothing.
 """
 
 import importlib.util
@@ -49,19 +50,31 @@ def load_tracer():
     return module
 
 
-@pytest.fixture(scope="module")
-def traced_units(tmp_path_factory):
-    out = tmp_path_factory.mktemp("trace")
-    base = {"state": STATE, "modes": 4, "order": 2}
-    specs = [dict(base, kind="probe", table_path=str(out / "probe-table.json")),
-             dict(base, kind="build_cold"),
-             {"kind": "cli", "name": "certify", "argv": CERTIFY, "replay": True}]
+def trace_units(out, specs) -> list:
+    """(spec, result) of each traced unit, run in order."""
     units = []
     for i, spec in enumerate(specs):
         path = out / f"unit-{i}.json"
         python(str(PERFBENCH / "tracer.py"), json.dumps(spec), str(path))
         units.append((spec, json.loads(path.read_text())))
     return units
+
+
+def assert_declared_layers(units, untraced_seconds):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    startup = [timed("-c", "import ptmoments.cli")]
+    metrics = load_tracer().summarize(units, startup, untraced_seconds)
+    assert sorted(metrics) == sorted(layer["name"] for layer in declared)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+@pytest.fixture(scope="module")
+def traced_units(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trace")
+    base = {"state": STATE, "modes": 4, "order": 2}
+    return trace_units(out, [dict(base, kind="probe", table_path=str(out / "probe-table.json")),
+                             dict(base, kind="build_cold"),
+                             {"kind": "cli", "name": "certify", "argv": CERTIFY, "replay": True}])
 
 
 def test_units_trace_every_layer_without_errors(traced_units):
@@ -72,12 +85,22 @@ def test_units_trace_every_layer_without_errors(traced_units):
 
 
 def test_summary_holds_exactly_the_declared_layers(traced_units):
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
-    startup = [timed("-c", "import ptmoments.cli")]
-    untraced = timed("-m", "ptmoments.cli", *CERTIFY)
-    metrics = load_tracer().summarize(traced_units, startup, untraced)
-    assert sorted(metrics) == sorted(layer["name"] for layer in declared)
-    assert all(math.isfinite(value) for value, _ in metrics.values())
+    assert_declared_layers(traced_units, timed("-m", "ptmoments.cli", *CERTIFY))
+
+
+def test_grid_run_summary_holds_exactly_the_declared_layers(tmp_path):
+    # A granted point and one whose every cut has a negative eigenvalue but no witness.
+    points = [[0.3, 0.0], [0.1, 0.035]]
+    alpha, nbar = points[-1]
+    base = {"state": {"alphas": [alpha] * 4, "nbars": [nbar] * 4}, "modes": 4, "order": 2}
+    units = trace_units(tmp_path, [
+        dict(base, kind="probe", table_path=str(tmp_path / "probe-table.json")),
+        dict(base, kind="build_cold"),
+        {"kind": "grid", "points": points, "replay": True}])
+    for spec, result in units:
+        assert result["absent"] == {}, spec["kind"]
+        assert result.get("errors", []) == [], spec["kind"]
+    assert_declared_layers(units, sum(units[-1][1]["untraced"]))
 
 
 def test_importing_prints_nothing():

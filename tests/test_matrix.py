@@ -442,7 +442,7 @@ class TestEigenScan:
         class NegativeNumber(MomentProvider):
             # Unphysical data: <ad1 a1> = -0.5, every other moment of vacuum.
             def _compute(self, key):
-                if key.is_identity():
+                if key == MonomialIndex.identity(2):
                     return 1.0
                 return -0.5 if key == idx((1, 1), (0, 0)) else 0.0
 
@@ -450,6 +450,25 @@ class TestEigenScan:
         assert result.witness == selection_of(2)
         assert result.minor.determinant == pytest.approx(-0.5)
         assert result.negative
+
+    @pytest.mark.parametrize("modes, alpha, nbar", [
+        (4, 0.05, 0.0), (4, 0.3, 0.0), (4, 0.5, 0.01), (5, 0.3, 0.01),
+    ])
+    def test_witnesses_survive_rounding_of_the_moments(self, modes, alpha, nbar):
+        # The mode symmetry makes eigenvector weights and Schur values tie;
+        # ties go by position, so moments a few ulps off keep every witness.
+        class Perturbed(WStateMoments):
+            def _compute(self, key):
+                rng = np.random.default_rng(position_of(key))
+                return super()._compute(key) * (1 + 4 * sys.float_info.epsilon
+                                                * rng.uniform(-1, 1))
+
+        params = WStateParams.symmetric(modes, alpha, nbar)
+        exact, perturbed = WStateMoments(params), Perturbed(params)
+        for cut in canonical_bipartitions(modes):
+            want = eigen_negativity_scan(exact, cut)
+            got = eigen_negativity_scan(perturbed, cut)
+            assert (got.negative, got.witness) == (want.negative, want.witness), cut
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("ptmoments.matrix.SIZE_CAP", 10)

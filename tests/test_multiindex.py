@@ -248,8 +248,8 @@ class TestMonomialIndex:
     def test_weight_and_identity(self):
         m = MonomialIndex(((2, 1), (0, 3)))
         assert m.weight == 6
-        assert not m.is_identity()
-        assert MonomialIndex.identity(3).is_identity()
+        assert m != MonomialIndex.identity(2)
+        assert MonomialIndex.identity(3) == MonomialIndex(((0, 0),) * 3)
 
     def test_conjugate_swaps_exponents(self):
         m = MonomialIndex(((2, 1), (0, 3)))
@@ -262,7 +262,7 @@ class TestMonomialIndex:
             4, creation=(3, 3), annihilation=(1, 4)
         )
         assert MonomialIndex.parse(str(m), modes=4) == m
-        assert MonomialIndex.parse("1", modes=2).is_identity()
+        assert MonomialIndex.parse("1", modes=2) == MonomialIndex.identity(2)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
