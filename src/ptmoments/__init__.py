@@ -27,7 +27,6 @@ from .errors import (
 from .matrix import (
     MinorResult,
     MomentMatrix,
-    ScanResult,
     Selection,
     build_matrix,
     determinant,
@@ -82,7 +81,6 @@ __all__ = [
     "MonomialIndex",
     "NumericError",
     "ResourceLimitError",
-    "ScanResult",
     "SearchBudget",
     "Selection",
     "SweepPoint",

@@ -10,11 +10,10 @@ reported as "inconclusive", never as separability.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import matrix
-from .matrix import MinorResult, _as_transposition, eigen_negativity_scan, named_minor
-from .moments import _sig12
+from .matrix import BipartitionOutcome, _as_transposition, eigen_negativity_scan, named_minor
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -54,28 +53,6 @@ class SearchBudget:
 
 
 @dataclass(frozen=True)
-class BipartitionOutcome:
-    """Verdict for one transposition set with its best witness, if any."""
-
-    transposition: TranspositionSet
-    verdict: str  # "NPT" | "inconclusive"
-    minor: MinorResult | None
-    min_eigenvalue: float | None
-
-    @property
-    def npt(self) -> bool:
-        return self.verdict == "NPT"
-
-    def as_dict(self) -> dict:
-        return {
-            "I": sorted(self.transposition.members),
-            "verdict": self.verdict,
-            "minor": self.minor.as_dict() if self.minor else None,
-            "min_eigenvalue": None if self.min_eigenvalue is None else _sig12(self.min_eigenvalue),
-        }
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     """Full-entanglement certification summary across all bipartitions."""
 
@@ -102,9 +79,9 @@ def test_bipartition(provider, transposed,
     """Search one transposition set for a negative principal minor."""
     budget = budget or SearchBudget()
     transposed = _as_transposition(transposed, provider.modes)
-    min_eigenvalue = None
+    outcome = BipartitionOutcome(transposed, None, None)
     if budget.strategy in ("eigen-scan", "both"):
-        scan = eigen_negativity_scan(
+        outcome = eigen_negativity_scan(
             provider,
             transposed,
             budget.max_order,
@@ -112,17 +89,16 @@ def test_bipartition(provider, transposed,
             tol=matrix.SCAN_TOL,
             max_minor_size=budget.max_minor_size,
         )
-        min_eigenvalue = scan.min_eigenvalue
-        if scan.negative:
-            return BipartitionOutcome(transposed, "NPT", scan.minor, min_eigenvalue)
+        if outcome.npt:
+            return outcome
     # Pair rows are weight-2 monomials, which a budget below order 2 does not reach.
     if (budget.strategy in ("named-minors", "both") and budget.max_minor_size >= 2
             and budget.max_order >= 2):
         for pairs in _pair_combinations(provider.modes):
             result = named_minor(provider, transposed, pairs)
             if result.negative:
-                return BipartitionOutcome(transposed, "NPT", result, min_eigenvalue)
-    return BipartitionOutcome(transposed, "inconclusive", None, min_eigenvalue)
+                return replace(outcome, minor=result)
+    return outcome
 
 
 def _pair_combinations(modes: int):

@@ -91,6 +91,8 @@ class MomentMatrix:
     values: np.ndarray
     provenance: str
     hermiticity_residual: float
+    #: how far an entry may lie from the state's own value, given the data's tolerance
+    uncertainty: float = 0.0
 
     @property
     def size(self) -> int:
@@ -124,6 +126,35 @@ class MinorResult:
         }
 
 
+@dataclass(frozen=True)
+class BipartitionOutcome:
+    """Verdict for one transposition set with its best witness, if any."""
+
+    transposition: TranspositionSet
+    minor: MinorResult | None  # a negative minor, the cut's witness
+    min_eigenvalue: float | None
+
+    @property
+    def npt(self) -> bool:
+        return self.minor is not None
+
+    @property
+    def verdict(self) -> str:
+        return "NPT" if self.npt else "inconclusive"
+
+    @property
+    def witness(self) -> Selection | None:
+        return None if self.minor is None else self.minor.selection
+
+    def as_dict(self) -> dict:
+        return {
+            "I": sorted(self.transposition.members),
+            "verdict": self.verdict,
+            "minor": self.minor.as_dict() if self.minor else None,
+            "min_eigenvalue": None if self.min_eigenvalue is None else _sig12(self.min_eigenvalue),
+        }
+
+
 # Overflow is refused by name where it matters, so numpy's warnings about it stay silent.
 @np.errstate(over="ignore", invalid="ignore")
 def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
@@ -136,7 +167,11 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     independently; an overflowing entry, or a non-finite moment (every plan
     coefficient is a positive integer), raises :class:`NumericError` naming
     the provider.  The Hermiticity defect is recorded, the matrix symmetrized
-    as (m + m†)/2, and unresolved moments are reported all at once.
+    as (m + m†)/2, and unresolved moments are reported all at once.  Each
+    moment is taken to lie within the provider's ``tolerance`` of the state's
+    own (zero for analytic providers), so an entry lies within that times the
+    plan's ``spread``: the matrix's ``uncertainty``, which the Hermiticity
+    gate allows and :func:`determinant` weighs.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -147,22 +182,23 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     keys = plan.keys[:, swap]
     positions = packed_positions(keys, plan.binomials)
     moments = provider.moments_at(positions, keys)
-    # Sum every entry's terms in position order, which keeps matrices bitwise stable.
-    order = np.argsort(plan.entry * (int(positions.max()) + 1) + positions[plan.key_index])
-    entry = plan.entry[order]
-    terms = plan.coefficients[order] * moments[plan.key_index[order]]
+    # An entry's terms are in an order fixed by its row and column monomials
+    # alone, so summing in plan order adds them alike under every selection and cut.
+    terms = plan.coefficients * moments[plan.key_index]
     n = len(selection)
     values = np.empty(n * n, dtype=complex)
-    values.real = np.bincount(entry, weights=terms.real, minlength=n * n)
-    values.imag = np.bincount(entry, weights=terms.imag, minlength=n * n)
+    values.real = np.bincount(plan.entry, weights=terms.real, minlength=n * n)
+    values.imag = np.bincount(plan.entry, weights=terms.imag, minlength=n * n)
     values = values.reshape(n, n)
     label = getattr(provider, "label", "provider")
     if not np.all(np.isfinite(values)):
         raise NumericError(f"matrix entries of {label} overflow")
     residual = float(np.max(np.abs(values - values.conj().T)))
-    if residual > HERMITICITY_TOL:
+    uncertainty = provider.tolerance * plan.spread
+    allowed = HERMITICITY_TOL + uncertainty
+    if residual > allowed:
         raise MomentDataError(
-            f"moment data breaks Hermiticity by {residual:.3e} (> {HERMITICITY_TOL:.0e})"
+            f"moment data breaks Hermiticity by {residual:.3e} (> {allowed:.3g})"
         )
     values = (values + values.conj().T) / 2.0
     return MomentMatrix(
@@ -171,6 +207,7 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
         values=values,
         provenance=label,
         hermiticity_residual=residual,
+        uncertainty=uncertainty,
     )
 
 
@@ -178,7 +215,8 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
 def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
     """The one rule for every minor: the principal block on the sorted
     ``indices`` (all rows by default) is negative when its determinant is
-    below -:func:`negativity_threshold`.  An overflowing determinant or
+    below -:func:`negativity_threshold`, which includes the most the
+    matrix's ``uncertainty`` can move it.  An overflowing determinant or
     threshold raises :class:`NumericError` naming the matrix's source; so
     does an imaginary part (rounding, for a Hermitian matrix) above both 1e-6
     relative to the real part and the threshold, below which it cannot move
@@ -190,7 +228,7 @@ def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
         selection = Selection(tuple(selection.positions[i] for i in indices))
         block = block[np.ix_(indices, indices)]
     det = complex(np.linalg.det(block))
-    threshold = negativity_threshold(block)
+    threshold = negativity_threshold(block, matrix.uncertainty)
     if not (np.isfinite(det) and np.isfinite(threshold)):
         raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
                            f"threshold {threshold}")
@@ -208,10 +246,19 @@ def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
     )
 
 
-def negativity_threshold(values: np.ndarray) -> float:
-    """Scale-aware determinant tolerance from the diagonal magnitudes."""
+def negativity_threshold(values: np.ndarray, uncertainty: float = 0.0) -> float:
+    """Scale-aware determinant tolerance from the diagonal magnitudes, plus
+    the most that entries each off by ``uncertainty`` can move the determinant.
+    """
     scale = float(np.prod(np.abs(np.diagonal(values))))
-    return DET_TOL_SCALE * max(1.0, scale)
+    threshold = DET_TOL_SCALE * max(1.0, scale)
+    if uncertainty:
+        # The determinant is linear in each row, and Hadamard's inequality
+        # bounds every term of that expansion by a product of row norms.
+        norms = np.linalg.norm(values, axis=1)
+        error = uncertainty * np.sqrt(len(norms))
+        threshold += float(np.prod(norms + error) - np.prod(norms))
+    return threshold
 
 
 def principal_minor(provider, transposed, selection: Selection) -> MinorResult:
@@ -219,24 +266,8 @@ def principal_minor(provider, transposed, selection: Selection) -> MinorResult:
     return determinant(build_matrix(provider, transposed, selection))
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of an eigenvalue negativity scan with optional minor witness."""
-
-    min_eigenvalue: float
-    minor: MinorResult | None
-
-    @property
-    def witness(self) -> Selection | None:
-        return None if self.minor is None else self.minor.selection
-
-    @property
-    def negative(self) -> bool:
-        return self.minor is not None and self.minor.negative
-
-
 def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
-                          tol: float = SCAN_TOL, max_minor_size: int = 6) -> ScanResult:
+                          tol: float = SCAN_TOL, max_minor_size: int = 6) -> BipartitionOutcome:
     """Search the full weight-capped matrix for negativity, with witness.
 
     The matrix over all monomials of weight at most ``max_order`` is
@@ -245,8 +276,8 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     with weights that agree to ``DET_TOL_SCALE`` taken in position order:
     each prefix is extended by its most negative Schur-complement column,
     and the first negative extension, of at most ``max_minor_size`` rows, is
-    greedily shrunk.  With no such extension the witness is None.  The minor
-    returned is a block of the scanned matrix, judged by :func:`determinant`.
+    greedily shrunk.  The cut is NPT exactly when such an extension exists;
+    its minor is a block of the scanned matrix, judged by :func:`determinant`.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -258,17 +289,17 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     matrix = build_matrix(provider, transposed, Selection.leading(size))
     eigenvalues, vectors = np.linalg.eigh(matrix.values)
     min_eigenvalue = float(eigenvalues[0])
-    if min_eigenvalue >= -tol:
-        return ScanResult(min_eigenvalue, None)
-    weight = np.abs(vectors[:, 0])
-    heaviest = np.argsort(-weight, kind="stable")
-    # A tie group ends wherever the sorted weights drop by more than the tolerance.
-    group = np.cumsum(np.diff(weight[heaviest], prepend=weight[heaviest[0]]) < -DET_TOL_SCALE)
-    order = heaviest[np.lexsort((heaviest, group))].tolist()
-    indices = _extract_witness(matrix, order, max_minor_size)
-    if indices is None:
-        return ScanResult(min_eigenvalue, None)
-    return ScanResult(min_eigenvalue, determinant(matrix, indices))
+    minor = None
+    if min_eigenvalue < -tol:
+        weight = np.abs(vectors[:, 0])
+        heaviest = np.argsort(-weight, kind="stable")
+        # A tie group ends wherever the sorted weights drop by more than the tolerance.
+        group = np.cumsum(np.diff(weight[heaviest], prepend=weight[heaviest[0]]) < -DET_TOL_SCALE)
+        order = heaviest[np.lexsort((heaviest, group))].tolist()
+        indices = _extract_witness(matrix, order, max_minor_size)
+        if indices is not None:
+            minor = determinant(matrix, indices)
+    return BipartitionOutcome(matrix.transposition, minor, min_eigenvalue)
 
 
 @np.errstate(over="ignore", invalid="ignore")

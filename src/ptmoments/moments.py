@@ -36,6 +36,8 @@ class MomentProvider:
     """Base class: subclasses implement ``_compute(key)``."""
 
     label = "moments"
+    #: how far each moment may lie from the state's own; a table records its own
+    tolerance = 0.0
 
     def __init__(self, modes: int):
         if modes < 1:

@@ -102,7 +102,9 @@ class EntryPlan:
     ``2i - 1`` with the coefficients unchanged, so one plan serves every cut
     and a cut ranks only the distinct keys.  Arrays are read-only.
     Coefficients are float64 products of the exact per-mode integers, exact
-    while they stay below 2**53.
+    while they stay below 2**53; ``spread`` is the largest coefficient sum of
+    one entry.  An entry's terms come in an order that its row and column
+    monomials alone fix, so every selection and cut sums that entry alike.
     """
 
     def __init__(self, modes: int, monomials):
@@ -137,6 +139,7 @@ class EntryPlan:
             columns = [c[parent] for c in columns] + [annihilated[factor], created[factor]]
         self.entry = entry
         self.coefficients = coefficients
+        self.spread = float(np.bincount(entry, weights=coefficients).max())
         # The heaviest term of an entry has the weight of its row and column.
         self.binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
         keys = np.stack(columns, axis=1)

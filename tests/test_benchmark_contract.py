@@ -7,9 +7,10 @@ in a fresh process as ``perfbench/run.py`` does: that of a CLI workload (the
 layer probe, the cold build and one replayed ``certify``) and that of
 ``grid_scan`` (the probe and cold build on its last point's state, then one
 ``grid`` unit).  Each summary must hold exactly the per-layer metrics of
-``BENCHMARK.json``, all finite.  ``run.py`` prints its result as the last line
-of stdout, which it shares with the fresh-import timing children, so
-importing must print nothing.
+``BENCHMARK.json``, all finite, and count at least one witness, from the
+certified W state that each run replays.  ``run.py`` prints its result as
+the last line of stdout, which it shares with the fresh-import timing
+children, so importing must print nothing.
 """
 
 import importlib.util
@@ -61,11 +62,15 @@ def trace_units(out, specs) -> list:
 
 
 def assert_declared_layers(units, untraced_seconds):
+    """Check the summary against BENCHMARK.json, and that it counts the
+    witnesses the replayed certificate needed."""
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     startup = [timed("-c", "import ptmoments.cli")]
     metrics = load_tracer().summarize(units, startup, untraced_seconds)
     assert sorted(metrics) == sorted(layer["name"] for layer in declared)
     assert all(math.isfinite(value) for value, _ in metrics.values())
+    found, _ = metrics["matrix.witnesses_found"]
+    assert 0 < found <= metrics["matrix.witness_attempts"][0]
 
 
 @pytest.fixture(scope="module")

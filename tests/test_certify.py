@@ -13,7 +13,9 @@ from ptmoments import (
     CoherentProductMoments,
     Decomposition,
     FockStateMoments,
+    MinorResult,
     SearchBudget,
+    Selection,
     TmsvMoments,
     TranspositionSet,
     WStateMoments,
@@ -56,6 +58,17 @@ class TestSearchBudget:
 
 
 class TestBipartition:
+    @pytest.mark.parametrize("provider", [
+        TmsvMoments(0.6), wstate(0.3), CoherentProductMoments((0.4, 0.2 - 0.1j)),
+    ], ids=["tmsv", "wstate", "coherent"])
+    def test_scan_returns_the_cut_outcome(self, provider):
+        # The eigen-scan strategy reports the scan's own outcome, field for field.
+        budget = SearchBudget(strategy="eigen-scan")
+        for cut in canonical_bipartitions(provider.modes):
+            scan = eigen_negativity_scan(provider, cut)
+            assert isinstance(scan, BipartitionOutcome)
+            assert scan.as_dict() == probe_bipartition(provider, cut, budget).as_dict()
+
     def test_squeezed_state_is_npt(self):
         outcome = probe_bipartition(TmsvMoments(0.5), (1,))
         assert outcome.npt
@@ -225,8 +238,9 @@ class TestExclusion:
     @staticmethod
     def certify_with_verdicts(monkeypatch, modes, open_cuts):
         def fixed(provider, cut, budget):
-            verdict = "inconclusive" if cut.members in open_cuts else "NPT"
-            return BipartitionOutcome(cut, verdict, None, None)
+            minor = None if cut.members in open_cuts else MinorResult(
+                Selection.leading(1), cut, -1.0, 0.0, "negative")
+            return BipartitionOutcome(cut, minor, None)
 
         monkeypatch.setattr("ptmoments.certify.test_bipartition", fixed)
         return certify_full(SimpleNamespace(modes=modes))

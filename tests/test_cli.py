@@ -490,6 +490,36 @@ class TestCertify:
         assert "k=[0, 0], l=[0, 0] is not finite" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def defective_table(tmp_path, state_flags):
+        # <ad1> raised 1e-4 off its partner <a1>, which a 1e-3 tolerance allows.
+        path = write_table(tmp_path, "defect.json", ["moments-gen", *state_flags, "--order", "4"])
+        doc = json.loads(path.read_text())
+        doc["tolerance"] = 1e-3
+        (entry,) = [e for e in doc["entries"] if (e["k"], e["l"]) == ([1, 0], [0, 0])]
+        entry["re"] += 1e-4
+        path.write_text(json.dumps(doc))
+        load_moment_table(path.read_text())
+        return path
+
+    @pytest.mark.parametrize("strategy", ["eigen-scan", "named-minors", "both"])
+    def test_defect_within_the_table_tolerance_certifies_nothing(self, tmp_path, strategy):
+        # The coherent product is separable; the defect alone makes minors
+        # such as R = [3, 7] negative, by less than the tolerance can explain.
+        path = self.defective_table(tmp_path, ["--state", "coherent", "--gamma=0.5,0.3"])
+        code, out, err = invoke(["certify", "--moments", str(path), "--strategy", strategy])
+        assert (code, err) == (EXIT_NO_CERTIFICATE, "")
+        assert {cut["verdict"] for cut in json.loads(out)["bipartitions"]} == {"inconclusive"}
+        code, out, err = invoke(["scan", "--moments", str(path), "--strategy", strategy])
+        assert (code, err) == (EXIT_NO_NEGATIVITY, "")
+        assert json.loads(out)["findings"] == []
+
+    def test_defect_within_the_table_tolerance_keeps_a_clear_witness(self, tmp_path):
+        path = self.defective_table(tmp_path, ["--state", "tmsv", "--r", "0.6"])
+        code, out, err = invoke(["certify", "--moments", str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["certificate"] is True
+
     @pytest.mark.parametrize("command", ["certify", "scan"])
     @pytest.mark.parametrize("value, what", [(1e200, "a minor"), (1e308, "matrix entries")])
     def test_overflow_refused_by_name(self, tmp_path, command, value, what):

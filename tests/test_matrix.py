@@ -134,6 +134,20 @@ class TestBuildMatrix:
         with pytest.raises(MomentDataError, match="Hermiticity"):
             build_matrix(Broken(1), None, Selection.leading(3))
 
+    @pytest.mark.parametrize("defect", [1e-4, 1e-2])
+    def test_table_defect_judged_by_its_tolerance(self, defect):
+        # Entry (ad, ad) is <a ad> = <ad a> + 1, so the plan's spread is 2 and
+        # partners a 1e-3 tolerance lets differ may break Hermiticity by 2e-3.
+        entries = {MonomialIndex(((k, l),)): 0.5 ** (k + l)
+                   for k in range(3) for l in range(3 - k)}
+        entries[MonomialIndex(((1, 0),))] += defect
+        table = TableMoments(1, entries, tolerance=1e-3)
+        if defect < 2e-3:
+            assert build_matrix(table, None, Selection.leading(3)).hermiticity_residual > 0
+        else:
+            with pytest.raises(MomentDataError, match=r"by 1\.000e-02 \(> 0\.002\)$"):
+                build_matrix(table, None, Selection.leading(3))
+
     def test_missing_moments_aggregated(self):
         prov = load_moment_table(
             '{"modes": 1, "entries": [{"k": [0], "l": [0], "re": 1.0}]}'
@@ -293,7 +307,7 @@ class TestPlanEquivalence:
 
 class TestDeterminant:
     @staticmethod
-    def manual_matrix(values):
+    def manual_matrix(values, uncertainty=0.0):
         values = np.asarray(values, dtype=complex)
         return MomentMatrix(
             selection=Selection.leading(values.shape[0]),
@@ -301,6 +315,7 @@ class TestDeterminant:
             values=values,
             provenance="manual",
             hermiticity_residual=0.0,
+            uncertainty=uncertainty,
         )
 
     def test_scalar(self):
@@ -344,6 +359,29 @@ class TestDeterminant:
         assert tiny.verdict == "nonnegative"
         res = determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-9]]))
         assert res.verdict == "negative"
+
+    def test_threshold_weighs_the_uncertainty(self):
+        # Rows of norm 1 with entries each off by at most u move a 2x2
+        # determinant by at most (1 + u sqrt 2)^2 - 1.
+        u = 1e-4
+        bound = (1 + u * np.sqrt(2)) ** 2 - 1
+        assert negativity_threshold(np.eye(2), u) == pytest.approx(1e-10 + bound)
+        values = [[1.0, 0.0], [0.0, -1e-4]]
+        assert determinant(self.manual_matrix(values)).negative
+        assert not determinant(self.manual_matrix(values, u)).negative
+        assert determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-3]], u)).negative
+
+    def test_uncertain_psd_matrix_never_negative(self):
+        # A rank-one PSD block, each entry moved by at most u, is never called negative.
+        rng = np.random.default_rng(7)
+        u = 1e-3
+        for size in (2, 3, 4):
+            for _ in range(200):
+                v = rng.normal(size=size) + 1j * rng.normal(size=size)
+                noise = rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
+                noise = (noise + noise.conj().T) / 2 * u / np.sqrt(2)
+                values = np.outer(v.conj(), v) + noise
+                assert not determinant(self.manual_matrix(values, u)).negative
 
     def test_as_dict_format(self):
         minor = principal_minor(TmsvMoments(0.8), (2,), selection_of(2, 4))
@@ -409,12 +447,12 @@ class TestEigenScan:
         assert result.min_eigenvalue >= -1e-9
         assert result.witness is None
         assert result.minor is None
-        assert not result.negative
+        assert not result.npt
 
     def test_tmsv_witness(self):
         r = 0.6
         result = eigen_negativity_scan(TmsvMoments(r), (2,), max_order=1)
-        assert result.negative
+        assert result.npt
         assert result.min_eigenvalue < -1e-3
         assert result.witness == selection_of(2, 4)
         # The {a1, a2} block is [[s^2, sc], [sc, s^2]] with determinant -s^2.
@@ -425,7 +463,7 @@ class TestEigenScan:
     def test_witness_is_independently_checkable(self):
         prov = WStateMoments(WStateParams.symmetric(4, 0.3))
         result = eigen_negativity_scan(prov, (1,), max_order=2)
-        assert result.negative
+        assert result.npt
         assert len(result.witness) <= 6
         rebuilt = principal_minor(prov, (1,), result.witness)
         assert rebuilt.determinant == pytest.approx(result.minor.determinant)
@@ -449,7 +487,7 @@ class TestEigenScan:
         result = eigen_negativity_scan(NegativeNumber(2), (2,), max_order=1, max_minor_size=1)
         assert result.witness == selection_of(2)
         assert result.minor.determinant == pytest.approx(-0.5)
-        assert result.negative
+        assert result.npt
 
     @pytest.mark.parametrize("modes, alpha, nbar", [
         (4, 0.05, 0.0), (4, 0.3, 0.0), (4, 0.5, 0.01), (5, 0.3, 0.01),
@@ -468,7 +506,7 @@ class TestEigenScan:
         for cut in canonical_bipartitions(modes):
             want = eigen_negativity_scan(exact, cut)
             got = eigen_negativity_scan(perturbed, cut)
-            assert (got.negative, got.witness) == (want.negative, want.witness), cut
+            assert (got.npt, got.witness) == (want.npt, want.witness), cut
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("ptmoments.matrix.SIZE_CAP", 10)
