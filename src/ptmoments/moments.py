@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,6 +98,8 @@ class CoherentProductMoments(MomentProvider):
 
     def __init__(self, gammas):
         gammas = tuple(complex(g) for g in gammas)
+        if not all(map(cmath.isfinite, gammas)):
+            raise MomentDataError(f"coherent amplitudes gamma must be finite, got {gammas}")
         super().__init__(len(gammas))
         self.gammas = gammas
         self.label = "coherent(" + ",".join(_fmt_complex(g) for g in gammas) + ")"
@@ -123,6 +124,8 @@ class TmsvMoments(MomentProvider):
     def __init__(self, r: float):
         super().__init__(2)
         self.r = float(r)
+        if not math.isfinite(self.r):
+            raise MomentDataError(f"squeezing parameter r must be finite, got {self.r}")
         self.label = f"tmsv(r={self.r:g})"
 
     def _compute(self, key):
@@ -154,8 +157,12 @@ class WStateParams:
             raise ValueError("alphas and nbars must have the same length")
         if len(self.alphas) < 1:
             raise ValueError("at least one mode required")
-        if any(x < 0 for x in self.nbars):
-            raise MomentDataError("mean thermal photon numbers must be >= 0")
+        if not all(map(cmath.isfinite, self.alphas)):
+            raise MomentDataError(f"amplitudes alpha must be finite, got {self.alphas}")
+        if not all(0 <= x < math.inf for x in self.nbars):
+            raise MomentDataError(
+                f"mean thermal photon numbers nbar must be finite and >= 0, got {self.nbars}"
+            )
 
     @property
     def modes(self) -> int:
@@ -264,7 +271,8 @@ class FockStateMoments(MomentProvider):
     ``state`` is either a ket vector or a density matrix over the product
     space with ``cutoffs[i]`` levels per mode.  Moments are computed by
     direct matrix algebra, so this provider is the independent oracle for
-    everything else; accuracy is limited only by the truncation tail.
+    everything else; accuracy is limited only by the truncation tail.  A ket
+    and a density matrix differ only in the operands of one ``einsum``.
     """
 
     def __init__(self, state, cutoffs, label: str = "fock-oracle"):
@@ -276,20 +284,23 @@ class FockStateMoments(MomentProvider):
         self.label = label
         dim = math.prod(cutoffs)
         state = np.asarray(state, dtype=complex)
+        # Mode m's row index is m and its column index n + m, as einsum sublists.
+        rows, cols = list(range(self.modes)), list(range(self.modes, 2 * self.modes))
         if state.shape == (dim,):
             norm = np.linalg.norm(state)
             if abs(norm - 1.0) > 1e-10:
                 raise MomentDataError(f"state vector norm {norm!r} is not 1 within 1e-10")
-            self._vector = state / norm
-            self._rho = None
+            ket = (state / norm).reshape(cutoffs)
+            # <psi| O |psi> = sum conj(psi[rows]) O[rows, cols] psi[cols]
+            self._operands = [ket.conj(), rows, ket, cols]
         elif state.shape == (dim, dim):
             if np.max(np.abs(state - state.conj().T)) > 1e-10:
                 raise MomentDataError("density matrix is not Hermitian within 1e-10")
             trace = complex(np.trace(state))
             if abs(trace - 1.0) > 1e-10:
                 raise MomentDataError(f"density matrix trace {trace!r} is not 1 within 1e-10")
-            self._vector = None
-            self._rho = state
+            # tr(rho O) = sum rho[cols, rows] O[rows, cols]
+            self._operands = [state.reshape(cutoffs * 2), cols + rows]
         else:
             raise MomentDataError(
                 f"state shape {state.shape} does not match cutoffs {cutoffs}"
@@ -297,38 +308,15 @@ class FockStateMoments(MomentProvider):
         self._ladders = [_destroy(c) for c in cutoffs]
 
     def _compute(self, key):
-        for (k, l), c in zip(key.pairs, self.cutoffs):
+        operands = list(self._operands)
+        for m, (a, (k, l), c) in enumerate(zip(self._ladders, key.pairs, self.cutoffs)):
             if k >= c or l >= c:
                 raise TruncationError(
                     f"exponent pair ({k},{l}) needs cutoff > {max(k, l)}, have {c}"
                 )
-        if self._vector is not None:
-            tensor = self._vector.reshape(self.cutoffs)
-            ket = tensor
-            bra = tensor
-            for axis, (a, (k, l)) in enumerate(zip(self._ladders, key.pairs)):
-                ket = _apply_mode(ket, np.linalg.matrix_power(a, l), axis)
-                bra = _apply_mode(bra, np.linalg.matrix_power(a, k), axis)
-            return complex(np.vdot(bra, ket))
-        ops = [
-            np.linalg.matrix_power(a, k).conj().T @ np.linalg.matrix_power(a, l)
-            for a, (k, l) in zip(self._ladders, key.pairs)
-        ]
-        return _trace_with_product(self._rho, self.cutoffs, ops)
-
-
-def _apply_mode(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _trace_with_product(rho: np.ndarray, cutoffs, ops) -> complex:
-    """trace(rho (op_1 x ... x op_n)) without forming the Kronecker product."""
-    n = len(cutoffs)
-    letters = string.ascii_lowercase
-    rows, cols = letters[:n], letters[n:2 * n]
-    subscripts = [rows + cols] + [cols[i] + rows[i] for i in range(n)]
-    return complex(np.einsum(",".join(subscripts) + "->", rho.reshape(cutoffs * 2), *ops))
+            op = np.linalg.matrix_power(a, k).conj().T @ np.linalg.matrix_power(a, l)
+            operands += [op, [m, self.modes + m]]
+        return np.einsum(*operands, [], optimize=True)
 
 
 class TableMoments(MomentProvider):
@@ -473,6 +461,8 @@ def moment_table_to_json(table: TableMoments) -> str:
 def table_from_provider(provider: MomentProvider, order: int,
                         tolerance: float = TABLE_TOLERANCE) -> TableMoments:
     """Tabulate every moment of weight up to ``order`` from a provider."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     tolerance = _tolerance(tolerance)
     positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
     keys = [monomial_at(provider.modes, p) for p in positions.tolist()]

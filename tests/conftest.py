@@ -263,6 +263,25 @@ def random_coherent_mixture(rng, modes, max_amplitude=30.0):
     return CoherentMixture(rng.dirichlet(np.ones(count)), radii * phases)
 
 
+def random_product_mixture(rng, modes, cutoff):
+    """Density matrix of 1-3 weighted products of random one-mode density matrices.
+
+    Each factor is G G^dagger / tr for a complex Gaussian ``cutoff`` x ``cutoff``
+    matrix G, so the mixture is separable across every cut and, living in the
+    first ``cutoff`` levels, exact in the truncated space.
+    """
+    count = int(rng.integers(1, 4))
+    rho = 0.0
+    for weight in rng.dirichlet(np.ones(count)):
+        product = np.ones((1, 1), dtype=complex)
+        for _ in range(modes):
+            g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+            factor = g @ g.conj().T
+            product = np.kron(product, factor / np.trace(factor).real)
+        rho = rho + weight * product
+    return rho
+
+
 def cuts_by_colouring(modes, parts):
     """Members of the canonical cuts that merge ``parts`` into two groups.
 

@@ -7,7 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import cuts_by_colouring, random_coherent_mixture, tmsv_vector
+from conftest import (
+    cuts_by_colouring,
+    random_coherent_mixture,
+    random_product_mixture,
+    tmsv_vector,
+)
 from ptmoments import (
     BipartitionOutcome,
     CoherentProductMoments,
@@ -215,6 +220,18 @@ class TestCertifyFull:
         budget = SearchBudget(max_order=order)
         for _ in range(count):
             report = certify_full(random_coherent_mixture(rng, modes), budget)
+            assert not any(outcome.npt for outcome in report.outcomes)
+
+    @pytest.mark.parametrize("modes,order,count", [(2, 2, 20), (3, 2, 8), (2, 3, 10)])
+    def test_separable_density_mixtures_never_npt(self, modes, order, count):
+        # Mixed, not just coherent, separable states, through the Fock density path;
+        # an order-k scan reads moments of weight 2k, exact at cutoff 2k + 1.
+        rng = np.random.default_rng(1000 + 100 * modes + order)
+        cutoffs = (2 * order + 1,) * modes
+        budget = SearchBudget(max_order=order)
+        for _ in range(count):
+            rho = random_product_mixture(rng, modes, cutoffs[0])
+            report = certify_full(FockStateMoments(rho, cutoffs), budget)
             assert not any(outcome.npt for outcome in report.outcomes)
 
     def test_as_dict(self):

@@ -70,6 +70,24 @@ def write_table(tmp_path, name, argv):
     return path
 
 
+def assert_one_error_line(err):
+    """Refused cleanly: one ``error:`` line on stderr and no traceback."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def tmsv_ket_file(tmp_path):
+    """The r = 0.5 two-mode squeezed vacuum at 16 levels per mode, as a ket .npy."""
+    cutoff = 16
+    amplitudes = np.zeros((cutoff, cutoff))
+    ratio = math.tanh(0.5)
+    for n in range(cutoff):
+        amplitudes[n, n] = ratio**n / math.cosh(0.5)
+    path = tmp_path / "state.npy"
+    np.save(path, amplitudes.reshape(-1))
+    return path
+
+
 def diagonal_table(path, value):
     """2-mode order-4 table: identity 1, every other key with k = l set to ``value``, the rest 0."""
     entries = []
@@ -206,6 +224,16 @@ class TestMomentsGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "coherent(1e+200,1)" in err
 
+    def test_negative_order_refused(self):
+        # Below order 0 not even the identity entry a table needs would be written.
+        code, out, err = invoke(
+            ["moments-gen", "--state", "wstate", "--alpha", "0.3", "--modes", "2", "--order", "-2"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert "order must be >= 0" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_the_loader_rejects_is_refused(self, tol):
         code, out, err = invoke(
@@ -243,6 +271,25 @@ class TestBuiltInStates:
         code, out, err = invoke(["certify", "--moments", str(path)])
         assert code in (EXIT_OK, EXIT_NO_CERTIFICATE), err
         assert json.loads(out)["certificate"] is (code == EXIT_OK)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["moments-gen", "--state", "tmsv", "--r", "nan", "--order", "1"],
+             "squeezing parameter r must be finite"),
+            (["moments-gen", "--state", "coherent", "--gamma=nan,0.1", "--order", "0"],
+             "coherent amplitudes gamma must be finite"),
+            (["certify", "--state", "wstate", "--alpha", "0.3", "--modes", "3", "--nbar", "nan"],
+             "mean thermal photon numbers nbar must be finite"),
+        ],
+        ids=["tmsv-r", "coherent-gamma", "wstate-nbar"],
+    )
+    def test_non_finite_state_parameter_refused(self, argv, message):
+        code, out, err = invoke(argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {message}")
 
     def test_strong_squeezing_certified(self):
         code, out, err = invoke(["certify", "--state", "tmsv", "--r", "5"])
@@ -451,13 +498,7 @@ class TestCertify:
         assert report["excluded_decompositions"] == ["{1|2}"]
 
     def test_fock_file_input(self, tmp_path):
-        cutoff = 16
-        amplitudes = np.zeros((cutoff, cutoff))
-        ratio = math.tanh(0.5)
-        for n in range(cutoff):
-            amplitudes[n, n] = ratio**n / math.cosh(0.5)
-        path = tmp_path / "state.npy"
-        np.save(path, amplitudes.reshape(-1))
+        path = tmsv_ket_file(tmp_path)
         code, out, err = invoke(
             [
                 "certify",
@@ -473,6 +514,47 @@ class TestCertify:
         report = json.loads(out)
         assert report["certificate"] is True
         assert report["excluded_decompositions"] == ["{1|2}"]
+
+    def test_fock_file_density_matrix_certified_like_the_ket(self, tmp_path):
+        ket_path = tmsv_ket_file(tmp_path)
+        # The truncated ket's norm misses 1 by ~1e-11; the provider divides it out
+        # of a ket, so the density matrix is built from the normalised ket.
+        ket = np.load(ket_path)
+        ket /= np.linalg.norm(ket)
+        rho_path = tmp_path / "rho.npy"
+        np.save(rho_path, np.outer(ket, ket.conj()))
+        argv = ["certify", "--state", "fock-file", "--cutoffs", "16,16", "--fock-file"]
+        code, out, err = invoke(argv + [str(rho_path)])
+        assert code == EXIT_OK, err
+        assert (code, out, err) == invoke(argv + [str(ket_path)])
+
+    def test_fock_file_cutoffs_must_match_the_state(self, tmp_path):
+        path = tmsv_ket_file(tmp_path)
+        code, out, err = invoke(
+            ["certify", "--state", "fock-file", "--fock-file", str(path), "--cutoffs", "16,15"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert "does not match cutoffs (16, 15)" in err
+
+    @pytest.mark.parametrize(
+        "flags,needed",
+        [
+            (["--state", "coherent"], "--gamma"),
+            (["--state", "tmsv"], "--r"),
+            (["--state", "wstate", "--modes", "3"], "--alpha"),
+            (["--state", "fock-file", "--cutoffs", "2"], "--fock-file and --cutoffs"),
+            (["--state", "fock-file", "--fock-file", "state.npy"], "--fock-file and --cutoffs"),
+        ],
+        ids=["coherent", "tmsv", "wstate", "fock-file", "cutoffs"],
+    )
+    def test_missing_state_parameter_named(self, flags, needed):
+        code, out, err = invoke(["certify", *flags])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err.startswith(f"error: {needed} ")
 
     def test_non_finite_table_entry_named(self, tmp_path):
         path = write_table(
@@ -676,6 +758,13 @@ class TestFigure1:
         assert code == EXIT_USAGE
         assert "alpha" in err
 
+    def test_empty_noise_list_rejected(self):
+        code, out, err = invoke(["figure1", "--alphas", "0.3", "--nbars", ""])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err == "error: empty noise-level list\n"
+
 
 class TestConfigFile:
     def test_config_supplies_missing_arguments(self, tmp_path):
@@ -788,6 +877,15 @@ class TestConfigFile:
         code, out, err = invoke(["moments-gen", "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert "JSON object" in err
+
+    def test_invalid_json_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        code, out, err = invoke(["moments-gen", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err.startswith("error: config is not valid JSON: ")
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, out, err = invoke(

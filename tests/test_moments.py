@@ -80,6 +80,11 @@ class TestCoherent:
         with pytest.raises(ValueError):
             prov.moment(MonomialIndex.identity(2))
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, complex(0.1, math.nan)])
+    def test_non_finite_amplitude_refused(self, gamma):
+        with pytest.raises(MomentDataError, match="coherent amplitudes gamma must be finite"):
+            CoherentProductMoments((0.5, gamma))
+
     def test_matches_fock_oracle(self):
         gamma = 0.5
         oracle = FockStateMoments(coherent_vector(gamma, 12), (12,))
@@ -136,6 +141,11 @@ class TestTmsv:
         prov = TmsvMoments(r)
         assert prov.moment(MonomialIndex.identity(2)) == 1.0
         assert prov.moment(idx((1, 1), (0, 0))) == pytest.approx(math.sinh(r) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_squeezing_refused(self, r):
+        with pytest.raises(MomentDataError, match="squeezing parameter r must be finite"):
+            TmsvMoments(r)
 
     def test_overflow_names_the_state(self):
         prov = TmsvMoments(400.0)
@@ -258,6 +268,21 @@ class TestWStateNoisy:
         assert sym.alphas == (0.2 + 0j,) * 3
         assert sym.nbars == (0.01,) * 3
         assert sym.modes == 3
+
+    @pytest.mark.parametrize(
+        "alphas,nbars,name",
+        [
+            ((0.1, math.nan), (0.0, 0.0), "alpha"),
+            ((0.1, complex(math.inf, 0.2)), (0.0, 0.0), "alpha"),
+            ((0.1, 0.2), (0.0, math.nan), "nbar"),
+            ((0.1, 0.2), (math.inf, 0.0), "nbar"),
+        ],
+        ids=["alpha-nan", "alpha-inf", "nbar-nan", "nbar-inf"],
+    )
+    def test_non_finite_params_refused(self, alphas, nbars, name):
+        # NaN passes a plain ``nbar < 0`` test, so finiteness is checked on its own.
+        with pytest.raises(MomentDataError, match=f" {name} must be finite"):
+            WStateParams(alphas, nbars)
 
 
 class TestRealMoments:
@@ -557,6 +582,11 @@ class TestMomentTable:
         # All monomials of weight <= 2 in one mode: 1, a, ad, a^2, ad a, ad^2.
         assert len(json.loads(moment_table_to_json(table))["entries"]) == 6
         assert table.max_order == 2
+
+    def test_table_from_provider_refuses_a_negative_order(self):
+        # Below order 0 not even the identity would be tabulated.
+        with pytest.raises(ValueError, match="order must be >= 0, got -2"):
+            table_from_provider(CoherentProductMoments((0.3,)), order=-2)
 
     @pytest.mark.parametrize("bad", [math.inf, complex(0.0, math.nan), OverflowError])
     def test_table_from_provider_refuses_a_non_finite_moment(self, bad):
