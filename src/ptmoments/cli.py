@@ -54,15 +54,12 @@ EXIT_NO_CERTIFICATE = 11
 
 
 def parse_complex(text: str) -> complex:
-    """Parse ``a+bi`` with optional real or imaginary part."""
+    """Parse a Python complex literal, with a trailing ``i`` or ``I`` as the imaginary unit."""
     compact = text.strip().replace(" ", "")
-    if not compact:
-        raise ValueError("empty complex literal")
-    normalized = compact.replace("I", "i").replace("i", "j")
+    if compact[-1:] in ("i", "I"):
+        compact = compact[:-1] + "j"
     try:
-        if normalized.endswith("j"):
-            return complex(normalized)
-        return complex(float(normalized), 0.0)
+        return complex(compact)
     except ValueError:
         raise ValueError(f"cannot parse complex number {text!r} (expected a+bi)") from None
 
@@ -135,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_state_options(parser):
-    parser.add_argument("--state", choices=["coherent", "tmsv", "wstate", "fock-file"],
-                        default=None)
+    parser.add_argument("--state", choices=list(_STATES), default=None)
     parser.add_argument("--gamma", type=_complex_list, default=None,
                         help="coherent amplitudes, comma-separated a+bi")
     parser.add_argument("--modes", type=int, default=None)
@@ -172,6 +168,10 @@ def _add_common_options(parser):
                              "the command line wins")
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _config_flags(args) -> list[str]:
     """The --config file's keys as ``--key=value`` flags, for argparse to check.
 
@@ -197,7 +197,7 @@ def _config_flags(args) -> list[str]:
             raise MomentDataError(f"config key {key!r} must be a string, number or list")
         if isinstance(value, list):
             value = ",".join(str(item) for item in value)
-        flags.append(f"--{key.replace('_', '-')}={value}")
+        flags.append(f"{_flag(key)}={value}")
     return flags
 
 
@@ -214,20 +214,38 @@ def _budget_from_args(args, table=None) -> SearchBudget:
     return SearchBudget(order, args.max_minor_size, args.strategy)
 
 
-# The state flags each --state reads; a state flag the chosen source does not read is refused.
-_STATE_READS = {
-    "coherent": ("gamma",),
-    "tmsv": ("r",),
-    "wstate": ("modes", "alpha", "nbar"),
-    "fock-file": ("fock_file", "cutoffs"),
+def _wstate_provider(args):
+    alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
+    modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
+    if len(alphas) == 1:
+        alphas = alphas * modes
+    if len(nbars) == 1:
+        nbars = nbars * modes
+    if len(alphas) != modes or len(nbars) != modes:
+        raise ValueError("--alpha/--nbar lists must match --modes")
+    return WStateMoments(WStateParams(tuple(alphas), tuple(nbars)))
+
+
+# Each --state: the flags it reads, in the order errors list them, the flags it
+# needs, and how its provider is built.  A state flag the source does not read is refused.
+_STATES = {
+    "coherent": (("gamma",), ("gamma",), lambda args: CoherentProductMoments(args.gamma)),
+    "tmsv": (("r",), ("r",), lambda args: TmsvMoments(args.r)),
+    "wstate": (("modes", "alpha", "nbar"), ("alpha",), _wstate_provider),
+    "fock-file": (
+        ("fock_file", "cutoffs"),
+        ("fock_file", "cutoffs"),
+        lambda args: FockStateMoments(np.load(args.fock_file), args.cutoffs,
+                                      label=f"fock:{args.fock_file}"),
+    ),
 }
 
 
 def _refuse_unread_state_flags(args, source: str, reads=()) -> None:
     unread = [
-        "--" + dest.replace("_", "-")
-        for dests in _STATE_READS.values()
-        for dest in dests
+        _flag(dest)
+        for state_reads, _, _ in _STATES.values()
+        for dest in state_reads
         if dest not in reads and getattr(args, dest) is not None
     ]
     if unread:
@@ -235,34 +253,14 @@ def _refuse_unread_state_flags(args, source: str, reads=()) -> None:
 
 
 def _provider_from_args(args):
-    state = args.state
-    if state is None:
+    if args.state is None:
         raise ValueError("--state is required (coherent, tmsv, wstate or fock-file)")
-    _refuse_unread_state_flags(args, f"--state {state}", _STATE_READS[state])
-    if state == "coherent":
-        if args.gamma is None:
-            raise ValueError("--gamma is required for the coherent state")
-        return CoherentProductMoments(args.gamma)
-    if state == "tmsv":
-        if args.r is None:
-            raise ValueError("--r is required for the two-mode squeezed state")
-        return TmsvMoments(args.r)
-    if state == "wstate":
-        alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
-        if alphas is None:
-            raise ValueError("--alpha is required for the wstate superposition")
-        modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
-        if len(alphas) == 1:
-            alphas = alphas * modes
-        if len(nbars) == 1:
-            nbars = nbars * modes
-        if len(alphas) != modes or len(nbars) != modes:
-            raise ValueError("--alpha/--nbar lists must match --modes")
-        return WStateMoments(WStateParams(tuple(alphas), tuple(nbars)))
-    if args.fock_file is None or args.cutoffs is None:
-        raise ValueError("--fock-file and --cutoffs are required")
-    return FockStateMoments(np.load(args.fock_file), args.cutoffs,
-                            label=f"fock:{args.fock_file}")
+    reads, needs, build = _STATES[args.state]
+    _refuse_unread_state_flags(args, f"--state {args.state}", reads)
+    if any(getattr(args, dest) is None for dest in needs):
+        needed = " and ".join(map(_flag, needs))
+        raise ValueError(f"{needed} must be given for --state {args.state}")
+    return build(args)
 
 
 def _table_provider(args):

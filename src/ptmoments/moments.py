@@ -49,10 +49,10 @@ class MomentProvider:
         """Normally ordered moment for ``key``, read through :meth:`moments_at`.
 
         The identity's moment is the state's normalisation: 1 for the
-        analytic states and Fock kets, the trace (1 within 1e-10) for a Fock
-        density matrix, and the table's own identity entry (1 within the
-        table's tolerance) for a :class:`TableMoments`, which raises
-        :class:`UnresolvedMomentsError` for a key it does not hold.
+        analytic states and for explicit Fock states (a ket is divided by its
+        norm, a density matrix by its trace), and the table's own identity
+        entry (1 within the table's tolerance) for a :class:`TableMoments`,
+        which raises :class:`UnresolvedMomentsError` for a key it does not hold.
         """
         if key.modes != self.modes:
             raise ValueError(f"key has {key.modes} modes, provider has {self.modes}")
@@ -284,6 +284,8 @@ class FockStateMoments(MomentProvider):
         self.label = label
         dim = math.prod(cutoffs)
         state = np.asarray(state, dtype=complex)
+        if not np.isfinite(state).all():
+            raise MomentDataError(f"state entries of {label} must be finite")
         # Mode m's row index is m and its column index n + m, as einsum sublists.
         rows, cols = list(range(self.modes)), list(range(self.modes, 2 * self.modes))
         if state.shape == (dim,):
@@ -300,7 +302,7 @@ class FockStateMoments(MomentProvider):
             if abs(trace - 1.0) > 1e-10:
                 raise MomentDataError(f"density matrix trace {trace!r} is not 1 within 1e-10")
             # tr(rho O) = sum rho[cols, rows] O[rows, cols]
-            self._operands = [state.reshape(cutoffs * 2), cols + rows]
+            self._operands = [(state / trace.real).reshape(cutoffs * 2), cols + rows]
         else:
             raise MomentDataError(
                 f"state shape {state.shape} does not match cutoffs {cutoffs}"

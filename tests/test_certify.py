@@ -249,6 +249,54 @@ class TestCertifyFull:
         assert doc["excluded_decompositions"] == ["{1|2}"]
 
 
+def metamorphic_draw(kind, seed):
+    """(builder, per-mode parameters) of one seeded state; the builder takes the list in mode order."""
+    rng = np.random.default_rng(seed)
+    if kind == "wstate":
+        modes = 3 + seed % 2
+        alphas = rng.uniform(0.02, 0.9, modes) * np.exp(2j * np.pi * rng.uniform(size=modes))
+        nbars = rng.uniform(0.0, 0.05, modes)
+        return (lambda params: WStateMoments(WStateParams(*zip(*params))),
+                list(zip(alphas.tolist(), nbars.tolist())))
+    if kind == "tmsv":
+        r = rng.uniform(0.2, 1.0)
+        return lambda params: TmsvMoments(r), [None, None]
+    modes = 3 + seed % 2
+    gammas = rng.uniform(-1.0, 1.0, modes) + 1j * rng.uniform(-1.0, 1.0, modes)
+    return CoherentProductMoments, gammas.tolist()
+
+
+def cut_verdicts(provider):
+    """``test_bipartition``'s verdict on every nonempty proper subset of the modes."""
+    modes = range(1, provider.modes + 1)
+    return {
+        frozenset(cut): probe_bipartition(provider, cut).npt
+        for size in range(1, provider.modes)
+        for cut in itertools.combinations(modes, size)
+    }
+
+
+class TestMetamorphicVerdicts:
+    """A verdict belongs to the cut, not to which side is transposed or how modes are numbered."""
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("wstate", seed) for seed in range(1, 9)] + [("tmsv", 9), ("coherent", 10),
+                                                      ("coherent", 11)],
+    )
+    def test_complement_and_relabelling(self, kind, seed):
+        build, params = metamorphic_draw(kind, seed)
+        verdicts = cut_verdicts(build(params))
+        everyone = frozenset(range(1, len(params) + 1))
+        # Relabelled mode j + 1 is original mode perm[j] + 1.
+        perm = np.random.default_rng(seed).permutation(len(params))
+        relabelled = cut_verdicts(build([params[p] for p in perm]))
+        for cut, npt in verdicts.items():
+            assert verdicts[everyone - cut] == npt, sorted(cut)
+            image = frozenset(j + 1 for j, p in enumerate(perm) if p + 1 in cut)
+            assert relabelled[image] == npt, (sorted(cut), perm)
+
+
 class TestExclusion:
     """Excluded decompositions follow from the cut verdicts alone, at any mode count."""
 

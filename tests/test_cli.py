@@ -121,6 +121,14 @@ class TestParseComplex:
         with pytest.raises(ValueError):
             parse_complex("")
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("inf", complex(math.inf, 0)), ("Infinity", complex(math.inf, 0)),
+         ("1e3i", 1000j), ("-i", -1j)],
+    )
+    def test_python_number_grammar(self, text, value):
+        assert parse_complex(text) == value
+
 
 class TestIndexNth:
     def test_identity_position(self):
@@ -281,8 +289,17 @@ class TestBuiltInStates:
              "coherent amplitudes gamma must be finite"),
             (["certify", "--state", "wstate", "--alpha", "0.3", "--modes", "3", "--nbar", "nan"],
              "mean thermal photon numbers nbar must be finite"),
+            (["certify", "--state", "wstate", "--alpha", "inf", "--modes", "2"],
+             "amplitudes alpha must be finite"),
+            (["certify", "--state", "wstate", "--alpha", "1+infi", "--modes", "2"],
+             "amplitudes alpha must be finite"),
+            (["certify", "--state", "coherent", "--gamma=1,infinity"],
+             "coherent amplitudes gamma must be finite"),
+            (["certify", "--state", "wstate", "--alpha", "nan", "--modes", "2"],
+             "amplitudes alpha must be finite"),
         ],
-        ids=["tmsv-r", "coherent-gamma", "wstate-nbar"],
+        ids=["tmsv-r", "coherent-gamma", "wstate-nbar", "wstate-alpha-inf",
+             "wstate-alpha-infi", "coherent-gamma-infinity", "wstate-alpha-nan"],
     )
     def test_non_finite_state_parameter_refused(self, argv, message):
         code, out, err = invoke(argv)
@@ -516,17 +533,31 @@ class TestCertify:
         assert report["excluded_decompositions"] == ["{1|2}"]
 
     def test_fock_file_density_matrix_certified_like_the_ket(self, tmp_path):
+        # The truncated ket's norm misses 1 by ~1e-11.  A ket is divided by its
+        # norm and a density matrix by its trace, so its raw outer product and
+        # the normalised ket's outer product both give the ket's report.
         ket_path = tmsv_ket_file(tmp_path)
-        # The truncated ket's norm misses 1 by ~1e-11; the provider divides it out
-        # of a ket, so the density matrix is built from the normalised ket.
         ket = np.load(ket_path)
-        ket /= np.linalg.norm(ket)
-        rho_path = tmp_path / "rho.npy"
-        np.save(rho_path, np.outer(ket, ket.conj()))
         argv = ["certify", "--state", "fock-file", "--cutoffs", "16,16", "--fock-file"]
-        code, out, err = invoke(argv + [str(rho_path)])
+        code, out, err = invoke(argv + [str(ket_path)])
         assert code == EXIT_OK, err
-        assert (code, out, err) == invoke(argv + [str(ket_path)])
+        for name, vector in (("raw", ket), ("normalised", ket / np.linalg.norm(ket))):
+            rho_path = tmp_path / f"{name}.npy"
+            np.save(rho_path, np.outer(vector, vector.conj()))
+            assert invoke(argv + [str(rho_path)]) == (code, out, err), name
+
+    @pytest.mark.parametrize("density", [False, True], ids=["ket", "density-matrix"])
+    def test_fock_file_non_finite_state_refused(self, tmp_path, density):
+        ket = np.load(tmsv_ket_file(tmp_path))
+        ket[3] = math.nan
+        path = tmp_path / "nan.npy"
+        np.save(path, np.outer(ket, ket.conj()) if density else ket)
+        code, out, err = invoke(
+            ["certify", "--state", "fock-file", "--fock-file", str(path), "--cutoffs", "16,16"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: state entries of fock:{path} must be finite\n"
 
     def test_fock_file_cutoffs_must_match_the_state(self, tmp_path):
         path = tmsv_ket_file(tmp_path)
