@@ -13,11 +13,14 @@ Run:  python demos/03_two_mode_squeezing.py
 
 import math
 
+import numpy as np
+
 from ptmoments import (
     Selection,
     TmsvMoments,
     build_matrix,
     eigen_negativity_scan,
+    monomial_at,
     principal_minor,
 )
 
@@ -39,10 +42,10 @@ def main():
     provider = TmsvMoments(r)
     matrix = build_matrix(provider, (2,), Selection.up_to_weight(2, 1))
     print(f"Transposed first-order matrix at r = {r} (real parts):")
-    for row, label in zip(matrix.values.real, matrix.selection.labels(2)):
+    for row, position in zip(matrix.values.real, matrix.selection):
         cells = " ".join(f"{x:8.4f}" for x in row)
-        print(f"  {label:>4} [ {cells} ]")
-    spectrum = " ".join(f"{x:.6f}" for x in matrix.eigenvalues())
+        print(f"  {str(monomial_at(2, position)):>4} [ {cells} ]")
+    spectrum = " ".join(f"{x:.6f}" for x in np.linalg.eigvalsh(matrix.values))
     print(f"  eigenvalues: {spectrum}")
 
     print()
@@ -51,7 +54,7 @@ def main():
     print("Scanning just that first-order matrix pins the negativity to a")
     print("minimal witness:")
     print(f"  positions {result.witness.positions}"
-          f"  (monomials {', '.join(result.witness.labels(2))})")
+          f"  (monomials {', '.join(str(monomial_at(2, p)) for p in result.witness)})")
     print(f"  determinant {minor.determinant:.9f}   expected -sinh^2 r ="
           f" {-math.sinh(r) ** 2:.9f}")
     print(f"  verdict: {minor.verdict}")

@@ -13,10 +13,11 @@ import itertools
 from dataclasses import dataclass, replace
 
 from . import matrix
-from .matrix import BipartitionOutcome, _as_transposition, eigen_negativity_scan, named_minor
+from .matrix import BipartitionOutcome, eigen_negativity_scan, named_minor
 from .transpositions import (
     Decomposition,
     TranspositionSet,
+    _as_transposition,
     all_decompositions,
     canonical_bipartitions,
     coarsens,

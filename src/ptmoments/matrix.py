@@ -19,15 +19,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import _sig12
-from .multiindex import (
-    MonomialIndex,
-    count_up_to_weight,
-    monomial_at,
-    packed_positions,
-    position_of,
-)
+from .multiindex import MonomialIndex, count_up_to_weight, packed_positions, position_of
 from .operator_algebra import plan_for
-from .transpositions import TranspositionSet
+from .transpositions import TranspositionSet, _as_transposition
 
 #: relative scale for calling a determinant negative
 DET_TOL_SCALE = 1e-10
@@ -66,12 +60,6 @@ class Selection:
     def up_to_weight(cls, modes: int, max_order: int) -> "Selection":
         return cls.leading(count_up_to_weight(2 * modes, max_order))
 
-    def monomials(self, modes: int) -> tuple[MonomialIndex, ...]:
-        return tuple(monomial_at(modes, p) for p in self.positions)
-
-    def labels(self, modes: int) -> tuple[str, ...]:
-        return tuple(str(m) for m in self.monomials(modes))
-
     def __len__(self):
         return len(self.positions)
 
@@ -93,13 +81,6 @@ class MomentMatrix:
     hermiticity_residual: float
     #: how far an entry may lie from the state's own value, given the data's tolerance
     uncertainty: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return len(self.selection)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.values)
 
 
 @dataclass(frozen=True)
@@ -361,18 +342,9 @@ def named_minor(provider, transposed, pairs) -> MinorResult:
         raise ValueError(f"pair modes must be distinct, got {(i, j, k, l)}")
     if not {i, j, k, l} <= set(range(1, modes + 1)):
         raise ValueError(f"pair modes must lie in 1..{modes}")
-    rows = [position_of(_pair_monomial(modes, i, j)), position_of(_pair_monomial(modes, k, l))]
-    selection = Selection(tuple(sorted(rows)))
+    # Each row annihilates once in each of its pair's modes and creates nothing.
+    rows = (MonomialIndex(tuple((0, int(m in pair)) for m in range(1, modes + 1)))
+            for pair in pairs)
+    selection = Selection(tuple(sorted(position_of(row) for row in rows)))
     return principal_minor(provider, transposed, selection)
 
-
-def _pair_monomial(modes: int, i: int, j: int) -> MonomialIndex:
-    return MonomialIndex.from_ops(modes, annihilation=(i, j))
-
-
-def _as_transposition(transposed, modes: int) -> TranspositionSet:
-    if isinstance(transposed, TranspositionSet):
-        return transposed
-    if transposed is None:
-        return TranspositionSet.empty(modes)
-    return TranspositionSet.of(modes, *transposed)

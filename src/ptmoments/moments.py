@@ -291,7 +291,7 @@ class FockStateMoments(MomentProvider):
         if state.shape == (dim,):
             norm = np.linalg.norm(state)
             if abs(norm - 1.0) > 1e-10:
-                raise MomentDataError(f"state vector norm {norm!r} is not 1 within 1e-10")
+                raise MomentDataError(f"state vector norm {float(norm)} is not 1 within 1e-10")
             ket = (state / norm).reshape(cutoffs)
             # <psi| O |psi> = sum conj(psi[rows]) O[rows, cols] psi[cols]
             self._operands = [ket.conj(), rows, ket, cols]
@@ -451,8 +451,8 @@ def moment_table_to_json(table: TableMoments) -> str:
     for position, value in sorted(table._values.items()):
         key = monomial_at(table.modes, position)
         entries.append({
-            "k": list(key.creation),
-            "l": list(key.annihilation),
+            "k": [k for k, _ in key.pairs],
+            "l": [l for _, l in key.pairs],
             "re": _sig12(value.real),
             "im": _sig12(value.imag),
         })

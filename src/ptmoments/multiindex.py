@@ -94,14 +94,6 @@ class MonomialIndex:
     def weight(self) -> int:
         return sum(k + l for k, l in self.pairs)
 
-    @property
-    def creation(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.pairs)
-
-    @property
-    def annihilation(self) -> tuple[int, ...]:
-        return tuple(l for _, l in self.pairs)
-
     def conjugate(self) -> "MonomialIndex":
         """Swap creation and annihilation exponents (Hermitian partner key)."""
         return MonomialIndex(tuple((l, k) for k, l in self.pairs))
@@ -123,21 +115,6 @@ class MonomialIndex:
     @classmethod
     def identity(cls, modes: int) -> "MonomialIndex":
         return cls(((0, 0),) * modes)
-
-    @classmethod
-    def from_ops(cls, modes: int, creation=(), annihilation=()) -> "MonomialIndex":
-        """Build from lists of mode numbers, one entry per operator factor."""
-        k = [0] * modes
-        l = [0] * modes
-        for i in creation:
-            if not 1 <= i <= modes:
-                raise ValueError(f"mode {i} out of range 1..{modes}")
-            k[i - 1] += 1
-        for i in annihilation:
-            if not 1 <= i <= modes:
-                raise ValueError(f"mode {i} out of range 1..{modes}")
-            l[i - 1] += 1
-        return cls(tuple(zip(k, l)))
 
     @classmethod
     def parse(cls, text: str, modes: int | None = None) -> "MonomialIndex":

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ExponentLimitError
 from .multiindex import MonomialIndex, binomial_table, monomial_at, packed_positions
+from .transpositions import _as_transposition
 
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
 # factorial growth would dwarf double precision instead of overflowing.
@@ -69,10 +70,7 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
     """
     if row.modes != col.modes:
         raise ValueError(f"mode-count mismatch: {row.modes} vs {col.modes}")
-    members = getattr(transposed, "members", transposed)
-    subset = frozenset(members)
-    if not subset <= set(range(1, row.modes + 1)):
-        raise ValueError(f"transposed modes {sorted(subset)} not within 1..{row.modes}")
+    subset = _as_transposition(transposed, row.modes).members
     # Start from the scalar 1 and take the tensor product mode by mode.
     terms: dict[tuple, int] = {(): 1}
     for mode, ((k, l), (p, q)) in enumerate(zip(row.pairs, col.pairs), start=1):
@@ -87,7 +85,7 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
     return {MonomialIndex(pairs): c for pairs, c in terms.items()}
 
 
-#: compiled plans kept; a 4-mode order-2 certify uses 10 (scan matrix, witnesses, pair minors)
+#: compiled plans kept; a 4-mode order-2 certify uses 1 (scan matrix), 4 if pair minors run
 PLAN_CACHE_SIZE = 256
 
 

@@ -48,6 +48,19 @@ class TranspositionSet:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 
 
+def _as_transposition(transposed, modes: int) -> TranspositionSet:
+    """The one way a cut enters: a :class:`TranspositionSet` over ``modes``
+    modes, None for no mode, or 1-based mode numbers.  A set built for another
+    mode count is refused."""
+    if isinstance(transposed, TranspositionSet):
+        if transposed.modes != modes:
+            raise ValueError(f"cut over {transposed.modes} modes given for {modes} modes")
+        return transposed
+    if transposed is None:
+        return TranspositionSet.empty(modes)
+    return TranspositionSet.of(modes, *transposed)
+
+
 def canonical_bipartitions(n: int) -> list[TranspositionSet]:
     """All nontrivial transposition tests for ``n`` modes, one per {I, complement} pair.
 

@@ -133,6 +133,12 @@ class TestBipartition:
         assert outcome.npt
         assert outcome.transposition == TranspositionSet.of(2, 1)
 
+    @pytest.mark.parametrize("member", [2, 5])
+    def test_cut_over_other_mode_count_refused(self, member):
+        # Refused by mode count whether or not the members fit the state's modes.
+        with pytest.raises(ValueError, match="^cut over 6 modes given for 4 modes$"):
+            probe_bipartition(wstate(0.3), TranspositionSet.of(6, member))
+
     def test_as_dict(self):
         doc = probe_bipartition(TmsvMoments(0.5), (1,)).as_dict()
         assert set(doc) == {"I", "verdict", "minor", "min_eigenvalue"}
@@ -277,7 +283,8 @@ def cut_verdicts(provider):
 
 
 class TestMetamorphicVerdicts:
-    """A verdict belongs to the cut, not to which side is transposed or how modes are numbered."""
+    """A verdict belongs to the cut, not to which side is transposed, how modes are
+    numbered or which phase each mode carries."""
 
     @pytest.mark.parametrize(
         "kind,seed",
@@ -295,6 +302,39 @@ class TestMetamorphicVerdicts:
             assert verdicts[everyone - cut] == npt, sorted(cut)
             image = frozenset(j + 1 for j, p in enumerate(perm) if p + 1 in cut)
             assert relabelled[image] == npt, (sorted(cut), perm)
+
+    @staticmethod
+    def assert_same_outcomes(provider, rotated):
+        """Same verdict and witness on every cut, and the same least eigenvalue
+        within 1e-12 of max(1, |value|); the identity entry 1 bounds the norm below."""
+        for one, two in zip(certify_full(provider).outcomes, certify_full(rotated).outcomes):
+            assert (one.verdict, one.witness) == (two.verdict, two.witness), one.transposition
+            assert abs(one.min_eigenvalue - two.min_eigenvalue) <= 1e-12 * max(
+                1.0, abs(one.min_eigenvalue)), one.transposition
+
+    @pytest.mark.parametrize(
+        "kind,seed",
+        [("wstate", seed) for seed in range(1, 9)] + [("coherent", 10), ("coherent", 11)],
+    )
+    def test_local_phases(self, kind, seed):
+        # A phase on each mode's amplitude is a local unitary: it takes every cut's
+        # matrix M to D* M D with D diagonal unitary, which keeps every eigenvalue
+        # and principal minor.
+        build, params = metamorphic_draw(kind, seed)
+        phases = np.exp(2j * np.pi * np.random.default_rng(100 + seed).uniform(size=len(params)))
+        if kind == "wstate":
+            rotated = [(alpha * phase, nbar) for (alpha, nbar), phase in zip(params, phases)]
+        else:
+            rotated = [gamma * phase for gamma, phase in zip(params, phases)]
+        self.assert_same_outcomes(build(params), build(rotated))
+
+    # Every cut is inconclusive at the first two points, after the pair minors ran;
+    # (0.2, 0.06) mixes NPT and inconclusive cuts.
+    @pytest.mark.parametrize("alpha,nbar", [(0.1, 0.035), (0.45, 0.17), (0.2, 0.06)])
+    def test_local_phases_at_symmetric_points(self, alpha, nbar):
+        phases = np.exp(2j * np.pi * np.random.default_rng(7).uniform(size=4))
+        rotated = WStateMoments(WStateParams(tuple(alpha * phases), (nbar,) * 4))
+        self.assert_same_outcomes(wstate(alpha, nbar), rotated)
 
 
 class TestExclusion:

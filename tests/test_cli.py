@@ -559,6 +559,16 @@ class TestCertify:
         assert out == ""
         assert err == f"error: state entries of fock:{path} must be finite\n"
 
+    def test_fock_file_zero_ket_norm_printed_as_a_number(self, tmp_path):
+        path = tmp_path / "zero.npy"
+        np.save(path, np.zeros(4))
+        code, out, err = invoke(
+            ["certify", "--state", "fock-file", "--fock-file", str(path), "--cutoffs", "2,2"]
+        )
+        assert code == EXIT_USAGE == 2
+        assert out == ""
+        assert err == "error: state vector norm 0.0 is not 1 within 1e-10\n"
+
     def test_fock_file_cutoffs_must_match_the_state(self, tmp_path):
         path = tmsv_ket_file(tmp_path)
         code, out, err = invoke(

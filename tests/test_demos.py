@@ -1,6 +1,7 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the README's examples, run against the current package."""
 
 import runpy
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -30,3 +31,30 @@ def test_measured_table_demo_is_repeatable_and_cleans_up(tmp_path, monkeypatch, 
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert list(tmp_path.iterdir()) == []
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_section(title):
+    """The README's text from the ``## title`` heading to the next heading of that level."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    code = readme_section("Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0]) < 0
+    assert lines[2] == "True"
+
+
+def test_readme_index_commands_print_what_they_claim(capsys):
+    from ptmoments.cli import main
+
+    claims = [line.split("# ->") for line in readme_section("Command line").splitlines()
+              if line.startswith("ptmoments index ")]
+    assert len(claims) == 2
+    for command, claimed in claims:
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == claimed.strip() + "\n"

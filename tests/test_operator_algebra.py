@@ -144,6 +144,16 @@ class TestEntryExpressionPt:
         with pytest.raises(ValueError):
             entry_expression_pt(a1, a1, frozenset({3}))
 
+    @pytest.mark.parametrize("member", [2, 5])
+    def test_rejects_cut_over_other_mode_count(self, member):
+        # The monomials of a 4-mode W state's matrix; the cut is refused by
+        # mode count whether or not its members fit 1..4.
+        from ptmoments import TranspositionSet
+
+        a1 = monomial_at(4, 2)
+        with pytest.raises(ValueError, match="^cut over 6 modes given for 4 modes$"):
+            entry_expression_pt(a1, a1, TranspositionSet.of(6, member))
+
     def test_conjugate_symmetry_of_expressions(self):
         # Swapping row and column conjugates every term while keeping the
         # integer coefficients, which is Hermiticity at the symbol level.
