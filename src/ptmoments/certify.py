@@ -10,7 +10,7 @@ reported as "inconclusive", never as separability.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import matrix
 from .matrix import BipartitionOutcome, eigen_negativity_scan, named_minor
@@ -23,10 +23,8 @@ from .transpositions import (
     coarsens,
 )
 
-INCONCLUSIVE_NOTE = (
-    "inconclusive bipartitions mean no negativity was found within the "
-    "finite search budget; this never implies separability"
-)
+#: witness searches a budget may run; "both" tries the eigen-scan, then the pair minors
+STRATEGIES = ("eigen-scan", "named-minors", "both")
 
 
 @dataclass(frozen=True)
@@ -35,22 +33,18 @@ class SearchBudget:
 
     max_order: int = 2
     max_minor_size: int = 6
-    strategy: str = "both"  # "eigen-scan" | "named-minors" | "both"
+    strategy: str = "both"
 
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
         if self.max_minor_size < 1:
             raise ValueError("max_minor_size must be >= 1")
-        if self.strategy not in ("eigen-scan", "named-minors", "both"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "max_minor_size": self.max_minor_size,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,8 @@ class CertificationReport:
     outcomes: tuple[BipartitionOutcome, ...]
     certificate: bool
     excluded: tuple[Decomposition, ...]
-    note = INCONCLUSIVE_NOTE
+    note = ("inconclusive bipartitions mean no negativity was found within the "
+            "finite search budget; this never implies separability")
 
     def as_dict(self) -> dict:
         return {

@@ -20,18 +20,14 @@ import sys
 import numpy as np
 
 from .certify import (
+    STRATEGIES,
     SearchBudget,
     certify_full,
     four_mode_pair_groups,
     sweep,
     sweep_to_csv,
 )
-from .errors import (
-    MomentDataError,
-    ResourceLimitError,
-    TruncationError,
-    UnresolvedMomentsError,
-)
+from .errors import MomentDataError, ResourceLimitError, UnresolvedMomentsError
 from .moments import (
     TABLE_TOLERANCE,
     CoherentProductMoments,
@@ -154,7 +150,7 @@ def _add_budget_options(parser):
                              "for --state)")
     parser.add_argument("--max-minor-size", type=int, default=SearchBudget.max_minor_size,
                         help="largest witness minor reported (default %(default)s)")
-    parser.add_argument("--strategy", choices=["eigen-scan", "named-minors", "both"],
+    parser.add_argument("--strategy", choices=STRATEGIES,
                         default=SearchBudget.strategy,
                         help="witness search: eigenvalue scan, pair minors or both "
                              "(default %(default)s)")
@@ -362,8 +358,7 @@ def main(argv=None) -> int:
         missing = ", ".join(str(key) for key in exc.missing)
         print(f"error: moments unresolved for keys: {missing}", file=sys.stderr)
         return EXIT_MISSING_MOMENTS
-    except (MomentDataError, TruncationError, ResourceLimitError, ValueError,
-            ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

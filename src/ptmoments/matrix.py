@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import _sig12
-from .multiindex import MonomialIndex, count_up_to_weight, packed_positions, position_of
+from .multiindex import MonomialIndex, _index, count_up_to_weight, packed_positions, position_of
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet, _as_transposition
 
@@ -43,7 +43,7 @@ class Selection:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        positions = tuple(int(p) for p in self.positions)
+        positions = tuple(_index(p, "positions") for p in self.positions)
         object.__setattr__(self, "positions", positions)
         if not positions:
             raise ValueError("selection must contain at least one position")
@@ -171,9 +171,8 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     values.real = np.bincount(plan.entry, weights=terms.real, minlength=n * n)
     values.imag = np.bincount(plan.entry, weights=terms.imag, minlength=n * n)
     values = values.reshape(n, n)
-    label = getattr(provider, "label", "provider")
     if not np.all(np.isfinite(values)):
-        raise NumericError(f"matrix entries of {label} overflow")
+        raise NumericError(f"matrix entries of {provider.label} overflow")
     residual = float(np.max(np.abs(values - values.conj().T)))
     uncertainty = provider.tolerance * plan.spread
     allowed = HERMITICITY_TOL + uncertainty
@@ -186,7 +185,7 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
         selection=selection,
         transposition=transposed,
         values=values,
-        provenance=label,
+        provenance=provider.label,
         hermiticity_residual=residual,
         uncertainty=uncertainty,
     )

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
-from .multiindex import MonomialIndex, count_up_to_weight, monomial_at, position_of
+from .multiindex import MonomialIndex, _index, count_up_to_weight, monomial_at, position_of
 
 #: default consistency tolerance a moment table records (identity moment, Hermitian partners)
 TABLE_TOLERANCE = 1e-9
@@ -223,19 +223,13 @@ class WStateMoments(MomentProvider):
                 for m in range(1, n + 1):
                     k, l = pairs[m - 1]
                     overlap = i != j and m in (i, j)
-                    term *= self._mode_factor(m, k, l, overlap)
+                    factor = self._factor_cache.get((m, k, l, overlap))
+                    if factor is None:
+                        factor = self._factor_cache[m, k, l, overlap] = _gaussian_moment(
+                            self.params.alphas[m - 1], self.params.nbars[m - 1], k, l, overlap)
+                    term *= factor
                 total += term
         return total
-
-    def _mode_factor(self, mode: int, k: int, l: int, overlap: bool) -> complex:
-        cache_key = (mode, k, l, overlap)
-        value = self._factor_cache.get(cache_key)
-        if value is None:
-            alpha = self.params.alphas[mode - 1]
-            nbar = self.params.nbars[mode - 1]
-            value = _gaussian_moment(alpha, nbar, k, l, overlap)
-            self._factor_cache[cache_key] = value
-        return value
 
 
 def _gaussian_moment(alpha: complex, nbar: float, k: int, l: int, overlap: bool) -> complex:
@@ -276,7 +270,8 @@ class FockStateMoments(MomentProvider):
     """
 
     def __init__(self, state, cutoffs, label: str = "fock-oracle"):
-        cutoffs = (cutoffs,) if isinstance(cutoffs, int) else tuple(int(c) for c in cutoffs)
+        cutoffs = (cutoffs,) if isinstance(cutoffs, int) else cutoffs
+        cutoffs = tuple(_index(c, "cutoffs") for c in cutoffs)
         if any(c < 1 for c in cutoffs):
             raise MomentDataError("cutoffs must be >= 1")
         super().__init__(len(cutoffs))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -56,6 +57,14 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
 def _first_true(stop: int, holds) -> int:
     """Least ``x`` in ``range(stop)`` where the monotone predicate ``holds``, else ``stop``."""
     return bisect.bisect_left(range(stop), True, key=holds)
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int; a float or other non-integer raises TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be integers, got {value!r}") from None
 
 
 def count_up_to_weight(d: int, w: int) -> int:

@@ -92,7 +92,7 @@ PLAN_CACHE_SIZE = 256
 class EntryPlan:
     """Untransposed normally ordered terms of every entry over a list of monomials.
 
-    Entry ``(s, t)`` is ``<(row s)^dagger (row t)>`` and has id ``s * size + t``.
+    Entry ``(s, t)`` is ``<(row s)^dagger (row t)>`` and has id ``s * len(monomials) + t``.
     Term ``j`` is ``coefficients[j]`` times the moment with packed key
     ``keys[key_index[j]]`` and belongs to entry ``entry[j]``; terms are
     grouped by entry.  ``keys`` holds each distinct packed key once, in
@@ -106,10 +106,10 @@ class EntryPlan:
     """
 
     def __init__(self, modes: int, monomials):
-        self.size = len(monomials)
+        size = len(monomials)
         exponents = np.array([m.pairs for m in monomials], dtype=np.int64)
         pairs, pair_ids = np.unique(exponents.reshape(-1, 2), axis=0, return_inverse=True)
-        pair_ids = pair_ids.reshape(self.size, modes)
+        pair_ids = pair_ids.reshape(size, modes)
         # Per-mode factor of every (row pair, column pair) combination, flat.
         factors = [
             normal_order_single_mode(l, k, p, q)
@@ -122,12 +122,11 @@ class EntryPlan:
         annihilated = np.array([kl[1] for f in factors for kl in f], dtype=np.int64)
         weights = np.array([c for f in factors for c in f.values()], dtype=float)
 
-        entry = np.arange(self.size * self.size)
+        entry = np.arange(size * size)
         coefficients = np.ones(entry.size)
         columns: list[np.ndarray] = []
         for i in range(modes):
-            combo = (pair_ids[entry // self.size, i] * len(pairs)
-                     + pair_ids[entry % self.size, i])
+            combo = pair_ids[entry // size, i] * len(pairs) + pair_ids[entry % size, i]
             counts = lengths[combo]
             parent = np.repeat(np.arange(entry.size), counts)
             within = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)

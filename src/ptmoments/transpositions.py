@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .multiindex import _index
+
 
 @dataclass(frozen=True)
 class TranspositionSet:
@@ -28,7 +30,7 @@ class TranspositionSet:
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError("mode count must be >= 1")
-        object.__setattr__(self, "members", frozenset(self.members))
+        object.__setattr__(self, "members", frozenset(_index(m, "members") for m in self.members))
         if not self.members <= set(range(1, self.modes + 1)):
             raise ValueError(f"members {sorted(self.members)} not within 1..{self.modes}")
 

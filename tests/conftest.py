@@ -255,6 +255,31 @@ class CoherentMixture(MomentProvider):
         return complex(self.weights @ np.prod(self.gammas.conj() ** k * self.gammas ** l, axis=1))
 
 
+class Displaced(MomentProvider):
+    """The state ``provider`` describes, displaced by ``betas[m]`` in mode ``m + 1``.
+
+    Displacement takes a to a + beta, so a moment is <(ad + conj(beta))^k (a + beta)^l>
+    of the base state, mode by mode; both binomials are already normally ordered.
+    """
+
+    def __init__(self, provider, betas):
+        super().__init__(provider.modes)
+        self.base = provider
+        self.betas = [complex(b) for b in betas]
+        self.label = f"displaced({provider.label})"
+
+    def _compute(self, key):
+        total = 0j
+        per_mode = [itertools.product(range(k + 1), range(l + 1)) for k, l in key.pairs]
+        for lowered in itertools.product(*per_mode):
+            weight = 1.0 + 0j
+            for (k, l), (p, q), b in zip(key.pairs, lowered, self.betas):
+                weight *= math.comb(k, p) * b.conjugate() ** (k - p)
+                weight *= math.comb(l, q) * b ** (l - q)
+            total += weight * self.base.moment(MonomialIndex(lowered))
+        return total
+
+
 def random_coherent_mixture(rng, modes, max_amplitude=30.0):
     """1-4 coherent product states with random weights and |gamma| <= max_amplitude."""
     count = int(rng.integers(1, 5))

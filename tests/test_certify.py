@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    Displaced,
     cuts_by_colouring,
     random_coherent_mixture,
     random_product_mixture,
@@ -26,6 +27,7 @@ from ptmoments import (
     WStateMoments,
     WStateParams,
     all_decompositions,
+    build_matrix,
     canonical_bipartitions,
     certify_full,
     eigen_negativity_scan,
@@ -240,6 +242,21 @@ class TestCertifyFull:
             report = certify_full(FockStateMoments(rho, cutoffs), budget)
             assert not any(outcome.npt for outcome in report.outcomes)
 
+    # Today's verdicts on strong squeezing, pinned so that a change of the negativity
+    # rule shows here: see CHANGES.md, FOUND "strong squeezing is never certified".
+    @pytest.mark.parametrize("r", [5.0, 10.0])
+    def test_strong_squeezing_certified(self, r):
+        assert certify_full(TmsvMoments(r)).certificate
+
+    @pytest.mark.parametrize("r,min_eigenvalue", [(15.0, -5.36e12), (20.0, -9.45e18)],
+                             ids=["15.0", "20.0"])
+    def test_strongest_squeezing_refused(self, r, min_eigenvalue):
+        report = certify_full(TmsvMoments(r))
+        assert not report.certificate
+        (outcome,) = report.outcomes
+        assert outcome.verdict == "inconclusive"
+        assert outcome.min_eigenvalue == pytest.approx(min_eigenvalue, rel=1e-3)
+
     def test_as_dict(self):
         doc = certify_full(TmsvMoments(0.4)).as_dict()
         assert set(doc) == {
@@ -335,6 +352,34 @@ class TestMetamorphicVerdicts:
         phases = np.exp(2j * np.pi * np.random.default_rng(7).uniform(size=4))
         rotated = WStateMoments(WStateParams(tuple(alpha * phases), (nbar,) * 4))
         self.assert_same_outcomes(wstate(alpha, nbar), rotated)
+
+    @staticmethod
+    def negative_counts(provider):
+        """Per cut, the order-2 matrix's eigenvalues below -1e-7 of the largest |eigenvalue|."""
+        selection = Selection.up_to_weight(provider.modes, 2)
+        counts = []
+        for cut in canonical_bipartitions(provider.modes):
+            eigenvalues = np.linalg.eigvalsh(build_matrix(provider, cut, selection).values)
+            counts.append(int(np.sum(eigenvalues < -1e-7 * np.abs(eigenvalues).max())))
+        return counts
+
+    @pytest.mark.parametrize("seed,provider", [
+        (1, WStateMoments(WStateParams.symmetric(3, 0.4, 0.02))),
+        (2, WStateMoments(WStateParams((0.5 + 0.2j, 0.3 - 0.4j, 0.7), (0.01, 0.0, 0.03)))),
+        (3, TmsvMoments(0.6)),
+        (4, CoherentProductMoments((0.4, 0.2 - 0.1j, -0.3j))),
+    ], ids=["wstate-symmetric-noisy", "wstate-unequal", "tmsv", "coherent"])
+    def test_displacement_keeps_negative_eigenvalue_count(self, seed, provider):
+        # A displacement takes each monomial to itself plus lower-weight ones, on every
+        # partial transpose, so each cut's matrix M becomes T^dagger M T with T unit
+        # triangular: a congruence, which keeps the count of negative eigenvalues
+        # (Sylvester's law of inertia).
+        rng = np.random.default_rng(seed)
+        counts = self.negative_counts(provider)
+        for _ in range(4):
+            betas = rng.uniform(-1.0, 1.0, provider.modes) * np.exp(
+                2j * np.pi * rng.uniform(size=provider.modes))
+            assert self.negative_counts(Displaced(provider, betas)) == counts, betas
 
 
 class TestExclusion:

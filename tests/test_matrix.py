@@ -1,6 +1,7 @@
 """Moment-matrix assembly, determinants, scans, and named 2x2 minors."""
 
 import itertools
+import json
 import math
 import sys
 import threading
@@ -59,6 +60,12 @@ class TestSelection:
         with pytest.raises(ValueError):
             Selection((2, 2))
 
+    def test_positions_are_integers(self):
+        # A float position is refused by name rather than truncated.
+        with pytest.raises(TypeError, match=r"^positions must be integers, got 1\.5$"):
+            Selection((1.5, 2))
+        assert Selection((np.int64(1), 2)).positions == (1, 2)
+
     def test_of_sorts_and_dedupes(self):
         sel = selection_of(5, 1, 3, 1)
         assert sel.positions == (1, 3, 5)
@@ -86,6 +93,16 @@ class TestBuildMatrix:
         prov = WStateMoments(WStateParams.symmetric(4, 0.3))
         with pytest.raises(ValueError, match="^cut over 6 modes given for 4 modes$"):
             build_matrix(prov, TranspositionSet.of(6, member), Selection.leading(5))
+
+    def test_cut_members_are_integers(self):
+        # A float member is refused by name before it reaches the column swap;
+        # a bool member is the mode it stands for and prints as that number.
+        prov = WStateMoments(WStateParams.symmetric(4, 0.3))
+        with pytest.raises(TypeError, match=r"^members must be integers, got 1\.0$"):
+            build_matrix(prov, (1.0,), Selection.leading(5))
+        doc = eigen_negativity_scan(prov, (True,)).as_dict()
+        assert doc == eigen_negativity_scan(prov, (1,)).as_dict()
+        assert json.dumps(doc["I"]) == "[1]"
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_moment_refused_by_name(self, value):

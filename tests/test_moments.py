@@ -285,6 +285,52 @@ class TestWStateNoisy:
             WStateParams(alphas, nbars)
 
 
+class TestWStateFiftyDigits:
+    """The n^2 cross-term sum against the same sum at 50 digits."""
+
+    @staticmethod
+    def reference(alphas, nbars, keys):
+        """Moments from 50-digit mode factors, one per (mode, k, l, overlap).
+
+        Bra branch i flips mode i and ket branch j flips mode j: mode m carries
+        (-1)^k if m = i and (-1)^l if m = j, and an overlap when i != j and m is one of them.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        modes = len(alphas)
+        factors = {}
+
+        def factor(m, k, l, overlap):
+            if (m, k, l, overlap) not in factors:
+                factors[m, k, l, overlap] = TestGaussianMoment.real_axis_reference(
+                    alphas[m], nbars[m], k, l, overlap)
+            return factors[m, k, l, overlap]
+
+        def unnormalized(pairs):
+            total = mpmath.mpc(0)
+            for i, j in itertools.product(range(modes), repeat=2):
+                term = mpmath.mpc((-1) ** (pairs[i][0] + pairs[j][1]))
+                for m, (k, l) in enumerate(pairs):
+                    term *= factor(m, k, l, i != j and m in (i, j))
+                total += term
+            return total
+
+        with mpmath.workdps(50):
+            norm = unnormalized(((0, 0),) * modes)
+            return [complex(unnormalized(key.pairs) / norm) for key in keys]
+
+    @pytest.mark.parametrize("modes,weight", [(2, 4), (3, 4), (4, 3), (5, 3)])
+    def test_matches_fifty_digit_sum(self, modes, weight):
+        rng = np.random.default_rng(10 * modes + weight)
+        alphas = rng.uniform(0.05, 0.9, modes) * np.exp(2j * np.pi * rng.uniform(size=modes))
+        nbars = rng.uniform(0.0, 0.1, modes)
+        keys = [monomial_at(modes, p) for p in range(1, count_up_to_weight(2 * modes, weight) + 1)]
+        prov = WStateMoments(WStateParams(tuple(alphas.tolist()), tuple(nbars.tolist())))
+        want = self.reference(alphas.tolist(), nbars.tolist(), keys)
+        scale = max(map(abs, want))
+        for key, value in zip(keys, want):
+            assert abs(prov.moment(key) - value) <= 1e-14 * scale, str(key)
+
+
 class TestRealMoments:
     """Real parameters give exactly real moments and scan matrices."""
 
@@ -364,7 +410,7 @@ class TestGaussianMoment:
 
     @staticmethod
     def real_axis_reference(alpha, nbar, k, l, overlap):
-        """The factor at 50 digits, expanded over the real and imaginary axes.
+        """The factor as a 50-digit mpmath number, expanded over the real and imaginary axes.
 
         Completing the square per axis leaves exp(-sigma a^2 / d) / sqrt(d)
         times a normal law of mean a / d and variance nbar / (2 d), whose
@@ -391,11 +437,11 @@ class TestGaussianMoment:
                 phase = (-1j) ** (k - a) * 1j ** (l - b)
                 total += (math.comb(k, a) * math.comb(l, b) * mpmath.mpc(phase)
                           * ex[a + b] * ey[k - a + l - b])
-            return complex(gx * gy * total)
+            return gx * gy * total
 
     def test_matches_fifty_digit_reference(self):
         for alpha, nbar, k, l, overlap in self.seeded_factors(200):
-            want = self.real_axis_reference(alpha, nbar, k, l, overlap)
+            want = complex(self.real_axis_reference(alpha, nbar, k, l, overlap))
             got = _gaussian_moment(alpha, nbar, k, l, overlap)
             assert abs(got - want) <= 1e-14 * abs(want), (alpha, nbar, k, l, overlap)
 
@@ -428,6 +474,13 @@ class TestFockOracle:
             FockStateMoments(np.zeros(5), (2, 2))
         with pytest.raises(MomentDataError):
             FockStateMoments(np.ones(4) / 2.0, (2, 3))
+
+    def test_cutoffs_are_integers(self):
+        # A float cutoff is refused by name, not truncated to a smaller space.
+        ket = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(TypeError, match=r"^cutoffs must be integers, got 2\.7$"):
+            FockStateMoments(ket, (2.7, 2))
+        assert FockStateMoments(ket, (np.int64(2), 2)).cutoffs == (2, 2)
 
     def test_truncation_error_for_large_exponents(self):
         vec = coherent_vector(0.2, 3)

@@ -42,6 +42,16 @@ class TestTranspositionSet:
         with pytest.raises(ValueError):
             TranspositionSet(0, frozenset())
 
+    def test_members_are_integers(self):
+        # A float equal to a mode number is refused by name, not compared by value;
+        # a bool is the integer it stands for.
+        with pytest.raises(TypeError, match=r"^members must be integers, got 1\.0$"):
+            tset(4, 1.0)
+        with pytest.raises(TypeError, match=r"got 2\.5$"):
+            TranspositionSet(4, frozenset({1, 2.5}))
+        members = tset(4, True).members
+        assert members == {1} and all(type(m) is int for m in members)
+
     def test_complement(self):
         assert tset(4, 1, 3).complement() == tset(4, 2, 4)
         assert TranspositionSet.empty(2).complement() == tset(2, 1, 2)
