@@ -49,15 +49,33 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Full-entanglement certification summary across all bipartitions."""
+    """Full-entanglement certification summary across all bipartitions.
+
+    The certificate and the excluded decompositions are read off the
+    outcomes.  A state separable over a mode decomposition has a
+    non-negative partial transpose across every cut that coarsens it, so the
+    excluded separability classes are the decompositions (with at least two
+    parts) that no inconclusive cut coarsens.  With the certificate in hand
+    that is every decomposition.  The rule holds at every mode count.
+    """
 
     modes: int
     budget: SearchBudget
     outcomes: tuple[BipartitionOutcome, ...]
-    certificate: bool
-    excluded: tuple[Decomposition, ...]
     note = ("inconclusive bipartitions mean no negativity was found within the "
             "finite search budget; this never implies separability")
+
+    @property
+    def certificate(self) -> bool:
+        return all(outcome.npt for outcome in self.outcomes)
+
+    @property
+    def excluded(self) -> tuple[Decomposition, ...]:
+        open_cuts = [o.transposition for o in self.outcomes if not o.npt]
+        return tuple(
+            decomposition for decomposition in all_decompositions(self.modes)
+            if not any(coarsens(cut, decomposition) for cut in open_cuts)
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -107,32 +125,13 @@ def _pair_combinations(modes: int):
 
 
 def certify_full(provider, budget: SearchBudget | None = None) -> CertificationReport:
-    """Test every canonical bipartition and grant or refuse the certificate.
-
-    A state separable over a mode decomposition has a non-negative partial
-    transpose across every cut that coarsens it, so the excluded separability
-    classes are the decompositions (with at least two parts) that no
-    inconclusive cut coarsens.  With the certificate in hand that is every
-    decomposition.  The rule holds at every mode count.
-    """
+    """Test every canonical bipartition and report the outcomes."""
     budget = budget or SearchBudget()
-    modes = provider.modes
     outcomes = tuple(
         test_bipartition(provider, cut, budget)
-        for cut in canonical_bipartitions(modes)
+        for cut in canonical_bipartitions(provider.modes)
     )
-    open_cuts = [o.transposition for o in outcomes if not o.npt]
-    excluded = tuple(
-        decomposition for decomposition in all_decompositions(modes)
-        if not any(coarsens(cut, decomposition) for cut in open_cuts)
-    )
-    return CertificationReport(
-        modes=modes,
-        budget=budget,
-        outcomes=outcomes,
-        certificate=not open_cuts,
-        excluded=excluded,
-    )
+    return CertificationReport(provider.modes, budget, outcomes)
 
 
 @dataclass(frozen=True)
@@ -180,20 +179,13 @@ def sweep_to_csv(rows) -> str:
 def four_mode_pair_groups():
     """The two symmetry groups of pair minors for four modes.
 
-    The first group (one transposed mode, or three) and the second group
-    (two transposed modes aligned with the pair split) each consist of
-    minors that coincide on the permutation-symmetric state.
+    The first group (one transposed mode, or three, each on the pairs
+    ((1,2),(3,4))) and the second group (two transposed modes, paired with
+    the other two) each consist of minors that coincide on the
+    permutation-symmetric state.
     """
-    split = ((1, 2), (3, 4))
-    group1 = [
-        ("d1", TranspositionSet.of(4, 1), split),
-        ("d1", TranspositionSet.of(4, 2), split),
-        ("d1", TranspositionSet.of(4, 3), split),
-        ("d1", TranspositionSet.of(4, 1, 2, 3), split),
-    ]
-    group2 = [
-        ("d2", TranspositionSet.of(4, 1, 2), ((1, 2), (3, 4))),
-        ("d2", TranspositionSet.of(4, 1, 3), ((1, 3), (2, 4))),
-        ("d2", TranspositionSet.of(4, 2, 3), ((2, 3), (1, 4))),
-    ]
+    cuts = canonical_bipartitions(4)
+    group1 = [("d1", cut, ((1, 2), (3, 4))) for cut in cuts if len(cut.members) % 2]
+    group2 = [("d2", cut, tuple(tuple(sorted(side.members)) for side in (cut, cut.complement())))
+              for cut in cuts if len(cut.members) == 2]
     return group1, group2

@@ -26,8 +26,10 @@ from .transpositions import TranspositionSet, _as_transposition
 #: relative scale for calling a determinant negative
 DET_TOL_SCALE = 1e-10
 
-#: largest entry-wise Hermiticity defect accepted from moment data
+#: largest entry-wise Hermiticity defect accepted from moment data, plus
+#: HERMITICITY_ULPS rounding units of the largest entry's summed |terms|
 HERMITICITY_TOL = 1e-6
+HERMITICITY_ULPS = 64
 
 #: ceiling on the full scan matrix dimension
 SIZE_CAP = 2000
@@ -152,7 +154,8 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     moment is taken to lie within the provider's ``tolerance`` of the state's
     own (zero for analytic providers), so an entry lies within that times the
     plan's ``spread``: the matrix's ``uncertainty``, which the Hermiticity
-    gate allows and :func:`determinant` weighs.
+    gate allows, with ``HERMITICITY_ULPS`` of rounding, and
+    :func:`determinant` weighs.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -176,6 +179,10 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     residual = float(np.max(np.abs(values - values.conj().T)))
     uncertainty = provider.tolerance * plan.spread
     allowed = HERMITICITY_TOL + uncertainty
+    if residual > allowed:
+        # Partners summed from large terms may also differ by their rounding.
+        magnitude = np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n)
+        allowed += HERMITICITY_ULPS * np.finfo(float).eps * float(magnitude.max())
     if residual > allowed:
         raise MomentDataError(
             f"moment data breaks Hermiticity by {residual:.3e} (> {allowed:.3g})"

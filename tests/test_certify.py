@@ -1,5 +1,6 @@
 """Bipartition testing, full certification, exclusions, and parameter sweeps."""
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ from conftest import (
 )
 from ptmoments import (
     BipartitionOutcome,
+    CertificationReport,
     CoherentProductMoments,
     Decomposition,
     FockStateMoments,
@@ -219,15 +221,18 @@ class TestCertifyFull:
         assert {str(d) for d in report.excluded} == {"{1|2,3}", "{1,3|2}"}
 
     @pytest.mark.parametrize(
-        "modes,order,count", [(2, 2, 40), (3, 2, 30), (4, 2, 20), (2, 3, 30), (3, 3, 10)]
+        "modes,order,count",
+        [(2, 2, 40), (3, 2, 30), (4, 2, 20), (2, 3, 30), (3, 3, 10), (2, 4, 40), (3, 4, 8)],
     )
     def test_separable_mixtures_never_npt(self, modes, order, count):
         # Mixtures of coherent product states are separable across every cut,
-        # so no amplitude up to |gamma| = 30 may give an NPT verdict.
+        # so no amplitude up to |gamma| = 30 (40 at order 4, where Hermitian
+        # partners differ by more than 1e-6 in rounding alone) may give an NPT verdict.
         rng = np.random.default_rng(100 * modes + order)
         budget = SearchBudget(max_order=order)
+        amplitude = 40.0 if order == 4 else 30.0
         for _ in range(count):
-            report = certify_full(random_coherent_mixture(rng, modes), budget)
+            report = certify_full(random_coherent_mixture(rng, modes, amplitude), budget)
             assert not any(outcome.npt for outcome in report.outcomes)
 
     @pytest.mark.parametrize("modes,order,count", [(2, 2, 20), (3, 2, 8), (2, 3, 10)])
@@ -421,6 +426,15 @@ class TestExclusion:
         assert report.certificate
         assert len(report.excluded) == 876  # Bell(7) - 1
 
+    def test_report_stores_only_its_outcomes(self, monkeypatch):
+        # The certificate and the exclusions are read off the outcomes, so a
+        # report cannot state either against them.
+        assert [f.name for f in dataclasses.fields(CertificationReport)] == [
+            "modes", "budget", "outcomes"]
+        report = self.certify_with_verdicts(monkeypatch, 3, {frozenset({1})})
+        assert not report.certificate
+        assert [str(d) for d in report.excluded] == ["{1,2|3}", "{1,3|2}"]
+
 
 class TestPairGroups:
     def test_catalogue_shape(self):
@@ -429,6 +443,9 @@ class TestPairGroups:
         assert [str(t) for _, t, _ in group2] == ["{1,2}", "{1,3}", "{2,3}"]
         assert all(name == "d1" for name, _, _ in group1)
         assert all(name == "d2" for name, _, _ in group2)
+        assert [pairs for _, _, pairs in group1] == [((1, 2), (3, 4))] * 4
+        assert [pairs for _, _, pairs in group2] == [
+            ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((2, 3), (1, 4))]
 
     def test_groups_coincide_on_symmetric_state(self):
         prov = wstate(0.45, nbar=0.01)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from ptmoments import load_moment_table
+from ptmoments import all_decompositions, load_moment_table
 from ptmoments.cli import (
     EXIT_IO,
     EXIT_MISSING_MOMENTS,
@@ -435,6 +435,27 @@ class TestScan:
             assert code == EXIT_MISSING_MOMENTS
             assert out == ""
             assert err == f"error: moments unresolved for keys: {missing}\n"
+
+    def test_scan_computes_no_exclusions(self, tmp_path, monkeypatch):
+        # scan prints findings and inconclusive cuts only, so it never
+        # enumerates the decompositions that certify reports as excluded.
+        calls = []
+        monkeypatch.setattr("ptmoments.certify.all_decompositions",
+                            lambda modes: calls.append(modes) or all_decompositions(modes))
+        path = write_table(
+            tmp_path,
+            "w4.json",
+            ["moments-gen", "--state", "wstate", "--alpha", "0.3", "--modes", "4",
+             "--order", "4"],
+        )
+        code, out, err = invoke(["scan", "--moments", str(path)])
+        assert code == EXIT_OK, err
+        assert len(json.loads(out)["findings"]) == 7
+        assert calls == []
+        code, out, err = invoke(["certify", "--moments", str(path)])
+        assert code == EXIT_OK, err
+        assert len(json.loads(out)["excluded_decompositions"]) == 14
+        assert calls == [4]
 
     def test_report_written_to_file(self, tmp_path):
         table = write_table(
