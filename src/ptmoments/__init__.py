@@ -9,7 +9,6 @@ from .certify import (
     BipartitionOutcome,
     CertificationReport,
     SearchBudget,
-    SweepPoint,
     certify_full,
     four_mode_pair_groups,
     sweep,
@@ -83,7 +82,6 @@ __all__ = [
     "ResourceLimitError",
     "SearchBudget",
     "Selection",
-    "SweepPoint",
     "TableMoments",
     "TmsvMoments",
     "TranspositionSet",

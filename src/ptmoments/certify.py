@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import matrix
 from .matrix import BipartitionOutcome, eigen_negativity_scan, named_minor
+from .multiindex import _index
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -36,6 +37,8 @@ class SearchBudget:
     strategy: str = "both"
 
     def __post_init__(self):
+        for name in ("max_order", "max_minor_size"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.max_order < 1:
             raise ValueError("max_order must be >= 1")
         if self.max_minor_size < 1:

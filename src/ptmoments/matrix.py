@@ -178,11 +178,10 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
         raise NumericError(f"matrix entries of {provider.label} overflow")
     residual = float(np.max(np.abs(values - values.conj().T)))
     uncertainty = provider.tolerance * plan.spread
-    allowed = HERMITICITY_TOL + uncertainty
-    if residual > allowed:
-        # Partners summed from large terms may also differ by their rounding.
-        magnitude = np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n)
-        allowed += HERMITICITY_ULPS * np.finfo(float).eps * float(magnitude.max())
+    # Partners summed from large terms may also differ by their rounding.
+    magnitude = np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n)
+    allowed = (HERMITICITY_TOL + uncertainty
+               + HERMITICITY_ULPS * np.finfo(float).eps * float(magnitude.max()))
     if residual > allowed:
         raise MomentDataError(
             f"moment data breaks Hermiticity by {residual:.3e} (> {allowed:.3g})"
@@ -264,10 +263,14 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     each prefix is extended by its most negative Schur-complement column,
     and the first negative extension, of at most ``max_minor_size`` rows, is
     greedily shrunk.  The cut is NPT exactly when such an extension exists;
-    its minor is a block of the scanned matrix, judged by :func:`determinant`.
+    its minor is the last block of the scanned matrix the search judged negative.
     """
+    max_order = _index(max_order, "max_order")
+    max_minor_size = _index(max_minor_size, "max_minor_size")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    if max_minor_size < 1:
+        raise ValueError("max_minor_size must be >= 1")
     size = count_up_to_weight(2 * provider.modes, max_order)
     if size > SIZE_CAP:
         raise ResourceLimitError(
@@ -278,30 +281,29 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     min_eigenvalue = float(eigenvalues[0])
     minor = None
     if min_eigenvalue < -tol:
-        weight = np.abs(vectors[:, 0])
-        heaviest = np.argsort(-weight, kind="stable")
-        # A tie group ends wherever the sorted weights drop by more than the tolerance.
-        group = np.cumsum(np.diff(weight[heaviest], prepend=weight[heaviest[0]]) < -DET_TOL_SCALE)
-        order = heaviest[np.lexsort((heaviest, group))].tolist()
-        indices = _extract_witness(matrix, order, max_minor_size)
-        if indices is not None:
-            minor = determinant(matrix, indices)
+        minor = _extract_witness(matrix, vectors[:, 0], max_minor_size)
     return BipartitionOutcome(matrix.transposition, minor, min_eigenvalue)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _extract_witness(matrix: MomentMatrix, order: list[int],
-                     max_minor_size: int) -> list[int] | None:
-    """Indices of a small negative principal minor, or None if none found.
+def _extract_witness(matrix: MomentMatrix, vector: np.ndarray,
+                     max_minor_size: int) -> MinorResult | None:
+    """The negative minor the search along ``vector``'s weight order ends on, or None.
 
-    Each prefix of ``order``, the empty one first, is extended by the column
-    whose Schur complement against the prefix block is most negative: with a
-    positive prefix determinant that flips the sign, and it picks up anchor
-    rows carrying little eigenvector weight (typically the identity row).
-    Schur values within ``DET_TOL_SCALE * |min|`` of the minimum tie, and the
-    lowest index wins.  The first extension :func:`determinant` calls
+    Rows are taken by weight in ``vector``, weights within ``DET_TOL_SCALE`` in
+    position order, and each prefix, the empty one first, is extended by the
+    column whose Schur complement against the prefix block is most negative:
+    with a positive prefix determinant that flips the sign, and it picks up
+    anchor rows carrying little eigenvector weight (typically the identity
+    row).  Schur values within ``DET_TOL_SCALE * |min|`` of the minimum tie,
+    and the lowest index wins.  The first extension :func:`determinant` calls
     negative is shrunk.
     """
+    weight = np.abs(vector)
+    heaviest = np.argsort(-weight, kind="stable")
+    # A tie group ends wherever the sorted weights drop by more than the tolerance.
+    group = np.cumsum(np.diff(weight[heaviest], prepend=weight[heaviest[0]]) < -DET_TOL_SCALE)
+    order = heaviest[np.lexsort((heaviest, group))].tolist()
     diagonal = np.real(np.diagonal(matrix.values))
     for k in range(min(len(order), max_minor_size)):
         prefix = np.array(order[:k], dtype=int)
@@ -317,22 +319,22 @@ def _extract_witness(matrix: MomentMatrix, order: list[int],
             raise NumericError(f"a minor of {matrix.provenance} overflows: Schur {low}")
         best = int(np.argmax(schur <= low + DET_TOL_SCALE * abs(low)))
         candidate = order[:k] + [best]
-        if low < 0.0 and determinant(matrix, candidate).negative:
-            return _greedy_shrink(matrix, candidate)
+        if low < 0.0 and (minor := determinant(matrix, candidate)).negative:
+            return _greedy_shrink(matrix, candidate, minor)
     return None
 
 
-def _greedy_shrink(matrix: MomentMatrix, indices: list[int]) -> list[int]:
-    """Drop members one at a time while the determinant stays negative."""
+def _greedy_shrink(matrix: MomentMatrix, indices: list[int], minor: MinorResult) -> MinorResult:
+    """Drop members of ``indices``, judged ``minor``, while the minor stays negative."""
     while len(indices) > 1:
         for drop in reversed(range(len(indices))):
             trial = indices[:drop] + indices[drop + 1:]
-            if determinant(matrix, trial).negative:
-                indices = trial
+            if (result := determinant(matrix, trial)).negative:
+                indices, minor = trial, result
                 break
         else:
             break
-    return indices
+    return minor
 
 
 def named_minor(provider, transposed, pairs) -> MinorResult:

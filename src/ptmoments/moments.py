@@ -264,9 +264,8 @@ class FockStateMoments(MomentProvider):
 
     ``state`` is either a ket vector or a density matrix over the product
     space with ``cutoffs[i]`` levels per mode.  Moments are computed by
-    direct matrix algebra, so this provider is the independent oracle for
-    everything else; accuracy is limited only by the truncation tail.  A ket
-    and a density matrix differ only in the operands of one ``einsum``.
+    direct matrix algebra; accuracy is limited only by the truncation tail.
+    A ket and a density matrix differ only in the operands of one ``einsum``.
     """
 
     def __init__(self, state, cutoffs, label: str = "fock-oracle"):
@@ -327,7 +326,7 @@ class TableMoments(MomentProvider):
     def __init__(self, modes: int, entries, tolerance: float = TABLE_TOLERANCE,
                  label: str = "table"):
         super().__init__(modes)
-        self.tolerance = tolerance
+        self.tolerance = _tolerance(tolerance)
         self.label = label
         self.max_order = 0
         for key, value in entries.items():
@@ -433,7 +432,7 @@ def _tolerance(value) -> float:
 def _number(value, name: str) -> float:
     """A JSON number (int or float, not a bool) as a float; otherwise name the field."""
     if not (_is_int(value) or isinstance(value, float)):
-        raise MomentDataError(f"{name} must be a number, got {json.dumps(value)}")
+        raise MomentDataError(f"{name} must be a number, got {json.dumps(value, default=repr)}")
     try:
         return float(value)
     except OverflowError:
@@ -458,9 +457,9 @@ def moment_table_to_json(table: TableMoments) -> str:
 def table_from_provider(provider: MomentProvider, order: int,
                         tolerance: float = TABLE_TOLERANCE) -> TableMoments:
     """Tabulate every moment of weight up to ``order`` from a provider."""
+    order = _index(order, "order")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    tolerance = _tolerance(tolerance)
     positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
     keys = [monomial_at(provider.modes, p) for p in positions.tolist()]
     values = provider.moments_at(positions, np.array([key.pack() for key in keys]))

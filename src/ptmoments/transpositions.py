@@ -86,10 +86,10 @@ class Decomposition:
     parts: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        parts = tuple(sorted((frozenset(p) for p in self.parts), key=min))
-        object.__setattr__(self, "parts", parts)
-        if not parts or any(not p for p in parts):
+        parts = [frozenset(p) for p in self.parts]
+        if not parts or not all(parts):
             raise ValueError("parts must be nonempty")
+        object.__setattr__(self, "parts", tuple(sorted(parts, key=min)))
         seen: set[int] = set()
         for p in parts:
             if seen & p:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -64,6 +65,14 @@ class TestSearchBudget:
             SearchBudget(max_minor_size=0)
         with pytest.raises(ValueError):
             SearchBudget(strategy="exhaustive")
+
+    def test_sizes_are_integers(self):
+        report = certify_full(TmsvMoments(0.6), SearchBudget(max_order=True, max_minor_size=True))
+        assert json.dumps(report.as_dict()["budget"]) == (
+            '{"max_order": 1, "max_minor_size": 1, "strategy": "both"}')
+        for name in ("max_order", "max_minor_size"):
+            with pytest.raises(TypeError, match=rf"^{name} must be integers, got 2\.0$"):
+                SearchBudget(**{name: 2.0})
 
 
 class TestBipartition:

@@ -520,6 +520,29 @@ class TestEigenScan:
             got = eigen_negativity_scan(perturbed, cut)
             assert (got.npt, got.witness) == (want.npt, want.witness), cut
 
+    def test_reports_the_minor_its_search_judged(self, monkeypatch):
+        # Each block is judged once: the reported minor is the very result of
+        # the last negative call, and no other call judged the witness rows.
+        calls = []
+
+        def spy(matrix, indices=None):
+            calls.append(determinant(matrix, indices))
+            return calls[-1]
+
+        monkeypatch.setattr("ptmoments.matrix.determinant", spy)
+        result = eigen_negativity_scan(WStateMoments(WStateParams.symmetric(4, 0.3)), (1,))
+        assert result.npt
+        assert result.minor is [minor for minor in calls if minor.negative][-1]
+        assert [minor.selection for minor in calls].count(result.witness) == 1
+
+    def test_sizes_are_integers(self):
+        prov = TmsvMoments(0.6)
+        result = eigen_negativity_scan(prov, (2,), max_order=True, max_minor_size=True)
+        assert result.min_eigenvalue < -1e-3
+        for name in ("max_order", "max_minor_size"):
+            with pytest.raises(TypeError, match=rf"^{name} must be integers, got 2\.0$"):
+                eigen_negativity_scan(prov, (2,), **{name: 2.0})
+
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("ptmoments.matrix.SIZE_CAP", 10)
         with pytest.raises(ResourceLimitError):
@@ -528,6 +551,8 @@ class TestEigenScan:
     def test_order_validated(self):
         with pytest.raises(ValueError):
             eigen_negativity_scan(TmsvMoments(0.5), (1,), max_order=0)
+        with pytest.raises(ValueError, match="^max_minor_size must be >= 1$"):
+            eigen_negativity_scan(TmsvMoments(0.5), (1,), max_minor_size=0)
 
 
 class TestNamedMinor:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -622,6 +623,23 @@ class TestMomentTable:
             math.sinh(0.4) ** 2, abs=1e-10
         )
 
+    def test_reads_bytes(self):
+        text = moment_table_to_json(table_from_provider(TmsvMoments(0.4), order=2))
+        assert moment_table_to_json(load_moment_table(text.encode())) == text
+
+    @pytest.mark.parametrize("tolerance, message", [
+        (-1e-3, "a finite nonnegative number"),
+        (math.nan, "a finite nonnegative number"),
+        (math.inf, "a finite nonnegative number"),
+        (np.float32(1e-3), f'a number, got "{np.float32(1e-3)!r}"'),
+    ], ids=["negative", "nan", "inf", "float32"])
+    def test_every_table_checks_its_tolerance(self, tolerance, message):
+        message = f"^'tolerance' must be {re.escape(message)}$"
+        with pytest.raises(MomentDataError, match=message):
+            TableMoments(1, {MonomialIndex.identity(1): 1.0}, tolerance=tolerance)
+        with pytest.raises(MomentDataError, match=message):
+            table_from_provider(CoherentProductMoments((0.3,)), 1, tolerance)
+
     def test_table_provider_raises_on_missing(self):
         prov = load_moment_table(self.doc([self.entry([0], [0], re=1.0)]))
         assert prov.moment(MonomialIndex.identity(1)) == 1.0
@@ -640,6 +658,12 @@ class TestMomentTable:
         # Below order 0 not even the identity would be tabulated.
         with pytest.raises(ValueError, match="order must be >= 0, got -2"):
             table_from_provider(CoherentProductMoments((0.3,)), order=-2)
+
+    def test_table_from_provider_order_is_an_integer(self):
+        prov = CoherentProductMoments((0.3,))
+        assert table_from_provider(prov, True).max_order == 1
+        with pytest.raises(TypeError, match=r"^order must be integers, got 2\.0$"):
+            table_from_provider(prov, 2.0)
 
     @pytest.mark.parametrize("bad", [math.inf, complex(0.0, math.nan), OverflowError])
     def test_table_from_provider_refuses_a_non_finite_moment(self, bad):
@@ -670,3 +694,18 @@ class TestMomentTable:
     def test_keys_must_match_the_mode_count(self):
         with pytest.raises(MomentDataError, match="key ad1 a2 has 2 modes, table has 3"):
             TableMoments(3, {MonomialIndex.identity(3): 1.0, idx((1, 0), (0, 1)): 0.5})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MomentProvider(0), ValueError, "mode count must be >= 1"),
+    (lambda: WStateParams((), ()), ValueError, "at least one mode required"),
+    (lambda: FockStateMoments(np.ones(1), (0,)), MomentDataError, "cutoffs must be >= 1"),
+    (lambda: load_moment_table('{"modes": 1, "entries": [3]}'), MomentDataError,
+     "each entry must be an object"),
+    (lambda: load_moment_table('{"modes": 1, "entries": [{"k": [0], "l": [0], "re": 1'
+                               + "0" * 400 + '}]}'),
+     MomentDataError, "'re' of k=[0], l=[0] is out of range"),
+], ids=["no-modes", "no-w-modes", "zero-cutoff", "entry-not-object", "re-out-of-range"])
+def test_refusals_name_their_reason(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

@@ -68,6 +68,10 @@ class TestNormalOrderSingleMode:
         with pytest.raises(ExponentLimitError):
             normal_order_single_mode(0, 9, 9, 0)
 
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+            normal_order_single_mode(-1, 0, 0, 0)
+
 
 class TestEntryExpression:
     def test_identity_entry(self):

@@ -131,6 +131,16 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             decomposition(3, (1, 2), (2, 3))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Decomposition(2, (frozenset({1, 2}), frozenset())), "parts must be nonempty"),
+        (lambda: Decomposition(2, ()), "parts must be nonempty"),
+        (lambda: bipartitions_coarsening(decomposition(2, (1, 2))),
+         "decomposition must have at least two parts"),
+    ], ids=["empty-part", "no-parts", "one-part"])
+    def test_refusals_name_their_reason(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_all_decompositions_counts(self):
         # Number of partitions into >= 2 blocks: Bell(n) - 1.
         assert len(all_decompositions(3)) == 4
