@@ -213,6 +213,8 @@ def _budget_from_args(args, table=None) -> SearchBudget:
 def _wstate_provider(args):
     alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
     modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
+    if modes < 1:
+        raise ValueError("--modes must be >= 1")
     if len(alphas) == 1:
         alphas = alphas * modes
     if len(nbars) == 1:

@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import _sig12
-from .multiindex import MonomialIndex, _index, count_up_to_weight, packed_positions, position_of
+from .multiindex import MonomialIndex, _index, count_up_to_weight, position_of
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet, _as_transposition
 
@@ -144,9 +144,9 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     """Evaluate the moment matrix for ``selection`` under partial transposition.
 
     Entries are gathered from the selection's compiled entry plan (see
-    :func:`~ptmoments.operator_algebra.plan_for`): the plan's distinct keys
-    are ranked with the transposed modes' exponents swapped and their moments
-    fetched from the provider in one call.  Both triangles are computed
+    :func:`~ptmoments.operator_algebra.plan_for`): the plan ranks its
+    distinct keys under the cut and their moments are fetched from the
+    provider in one call.  Both triangles are computed
     independently; an overflowing entry, or a non-finite moment (every plan
     coefficient is a positive integer), raises :class:`NumericError` naming
     the provider.  The Hermiticity defect is recorded, the matrix symmetrized
@@ -160,11 +160,7 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
     plan = plan_for(modes, selection.positions)
-    swap = np.arange(2 * modes)
-    for mode in transposed.members:
-        swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
-    keys = plan.keys[:, swap]
-    positions = packed_positions(keys, plan.binomials)
+    positions, keys = plan.cut(transposed.members)
     moments = provider.moments_at(positions, keys)
     # An entry's terms are in an order fixed by its row and column monomials
     # alone, so summing in plan order adds them alike under every selection and cut.

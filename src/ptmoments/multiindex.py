@@ -132,6 +132,8 @@ class MonomialIndex:
         The mode count defaults to the largest mode mentioned; repeated
         tokens accumulate.
         """
+        if modes is not None and modes < 1:
+            raise ValueError("mode count must be >= 1")
         tokens = text.split()
         if tokens == ["1"] or not tokens:
             if modes is None:

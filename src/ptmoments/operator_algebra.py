@@ -85,8 +85,8 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
     return {MonomialIndex(pairs): c for pairs, c in terms.items()}
 
 
-#: compiled plans kept; a 4-mode order-2 certify uses 1 (scan matrix), 4 if pair minors run
-PLAN_CACHE_SIZE = 256
+#: compiled plans kept: a cut of n modes with pair minors reads 1 + 3*C(n, 4), 631 at 10 modes
+PLAN_CACHE_SIZE = 1024
 
 
 class EntryPlan:
@@ -96,9 +96,10 @@ class EntryPlan:
     Term ``j`` is ``coefficients[j]`` times the moment with packed key
     ``keys[key_index[j]]`` and belongs to entry ``entry[j]``; terms are
     grouped by entry.  ``keys`` holds each distinct packed key once, in
-    position order.  Transposing mode ``i`` swaps key columns ``2i - 2`` and
-    ``2i - 1`` with the coefficients unchanged, so one plan serves every cut
-    and a cut ranks only the distinct keys.  Arrays are read-only.
+    position order, as bytes (an exponent is at most ``2 * MAX_EXPONENT``).
+    Transposing mode ``i`` swaps key columns ``2i - 2`` and ``2i - 1`` with the
+    coefficients unchanged, so one plan serves every cut: :meth:`cut` ranks
+    the distinct keys with a private binomial table.  Arrays are read-only.
     Coefficients are float64 products of the exact per-mode integers, exact
     while they stay below 2**53; ``spread`` is the largest coefficient sum of
     one entry.  An entry's terms come in an order that its row and column
@@ -118,35 +119,41 @@ class EntryPlan:
         ]
         lengths = np.array([len(f) for f in factors])
         starts = np.cumsum(lengths) - lengths
-        created = np.array([kl[0] for f in factors for kl in f], dtype=np.int64)
-        annihilated = np.array([kl[1] for f in factors for kl in f], dtype=np.int64)
+        # Each factor term's (annihilation, creation) exponents: its packed key columns.
+        packed = np.array([kl[::-1] for f in factors for kl in f], dtype=np.uint8)
         weights = np.array([c for f in factors for c in f.values()], dtype=float)
 
         entry = np.arange(size * size)
         coefficients = np.ones(entry.size)
-        columns: list[np.ndarray] = []
+        keys = np.empty((entry.size, 0), dtype=np.uint8)
         for i in range(modes):
             combo = pair_ids[entry // size, i] * len(pairs) + pair_ids[entry % size, i]
             counts = lengths[combo]
-            parent = np.repeat(np.arange(entry.size), counts)
-            within = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            factor = starts[combo][parent] + within
-            entry = entry[parent]
-            coefficients = coefficients[parent] * weights[factor]
-            columns = [c[parent] for c in columns] + [annihilated[factor], created[factor]]
+            # A term's factor is its parent's first factor plus its rank among its siblings.
+            factor = np.repeat(starts[combo] - (np.cumsum(counts) - counts), counts)
+            factor += np.arange(factor.size)
+            entry = np.repeat(entry, counts)
+            coefficients = np.repeat(coefficients, counts) * weights[factor]
+            keys = np.hstack((np.repeat(keys, counts, axis=0), packed[factor]))
         self.entry = entry
         self.coefficients = coefficients
         self.spread = float(np.bincount(entry, weights=coefficients).max())
         # The heaviest term of an entry has the weight of its row and column.
-        self.binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
-        keys = np.stack(columns, axis=1)
-        del columns  # free the per-column copies before ranking
+        self._binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
         _, first, self.key_index = np.unique(
-            packed_positions(keys, self.binomials), return_index=True, return_inverse=True
+            packed_positions(keys, self._binomials), return_index=True, return_inverse=True
         )
         self.keys = keys[first]
-        for array in (self.entry, self.coefficients, self.keys, self.key_index, self.binomials):
+        for array in (self.entry, self.coefficients, self.keys, self.key_index, self._binomials):
             array.setflags(write=False)
+
+    def cut(self, members) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and packed keys of ``keys`` transposed in the 1-based modes ``members``."""
+        swap = np.arange(self.keys.shape[1])
+        for mode in members:
+            swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
+        keys = self.keys[:, swap]
+        return packed_positions(keys, self._binomials), keys
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

@@ -187,6 +187,11 @@ class TestIndexOf:
         assert code == EXIT_USAGE
         assert "mode 5" in err
 
+    @pytest.mark.parametrize("modes", ["0", "-1"])
+    def test_mode_count_below_one_refused(self, modes):
+        code, out, err = invoke(["index", "of", "a1", "--modes", modes])
+        assert (code, out, err) == (EXIT_USAGE, "", "error: mode count must be >= 1\n")
+
 
 class TestMomentsGen:
     def test_coherent_table_on_stdout(self):
@@ -756,6 +761,14 @@ class TestCertify:
             ["certify", "--state", "wstate", "--alpha", "0.3,0.2", "--modes", "4"]
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["certify", "moments-gen"])
+    @pytest.mark.parametrize("modes", ["0", "-2"])
+    def test_mode_count_below_one_refused(self, command, modes):
+        code, out, err = invoke(
+            [command, "--state", "wstate", "--alpha", "0.3", "--modes", modes]
+        )
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --modes must be >= 1\n")
 
     def test_alpha_broadcast_matches_explicit_list(self):
         single = invoke(["certify", "--state", "wstate", "--alpha", "0.3", "--modes", "4"])

@@ -41,6 +41,7 @@ from ptmoments import (
     TableMoments,
     TruncationError,
 )
+from ptmoments.certify import _pair_combinations
 from ptmoments.matrix import negativity_threshold
 from ptmoments.operator_algebra import plan_for
 
@@ -226,6 +227,19 @@ class TestAssemblyMemory:
         mib = 2 ** 20
         assert cold < 9 * mib
         assert max(warm) < 5 * mib
+
+
+class TestPlanCache:
+    def test_pair_plans_of_nine_modes_outlive_a_cut(self):
+        # A cut of 9 modes reads 3 * C(9, 4) = 378 pair plans; the next cut
+        # finds every one of them still cached.
+        prov = CoherentProductMoments([0.3] * 9)
+        pairings = list(_pair_combinations(9))
+        plan_for.cache_clear()
+        for cut in ((1,), (1, 2)):
+            for pairs in pairings:
+                named_minor(prov, cut, pairs)
+        assert plan_for.cache_info().hits >= 378
 
 
 class TestSharedProvider:

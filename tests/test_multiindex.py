@@ -270,11 +270,14 @@ class TestMonomialIndex:
 @pytest.mark.parametrize("call, message", [
     (lambda: MonomialIndex.parse("a0", 2), "mode numbers start at 1: 'a0'"),
     (lambda: MonomialIndex.parse("1"), "identity monomial needs an explicit mode count"),
+    (lambda: MonomialIndex.parse("a1", 0), "mode count must be >= 1"),
+    (lambda: MonomialIndex.parse("1", -1), "mode count must be >= 1"),
     (lambda: MonomialIndex.unpack((1, 2, 3)), "packed multi-index must have even dimension"),
     (lambda: MonomialIndex(()), "monomial needs at least one mode"),
     (lambda: monomial_at(0, 1), "mode count must be >= 1"),
     (lambda: nth_multiindex(0, 5), "dimension must be >= 1"),
-], ids=["mode-zero", "identity-without-modes", "odd-packing", "no-modes", "no-modes-at",
+], ids=["mode-zero", "identity-without-modes", "no-modes-parse", "no-modes-identity",
+        "odd-packing", "no-modes", "no-modes-at",
         "dimension-zero"])
 def test_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -1,6 +1,7 @@
 """Normal ordering of ladder products and transposition rearrangement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from ptmoments import (
     MonomialIndex,
     WStateMoments,
     WStateParams,
+    canonical_bipartitions,
+    count_up_to_weight,
     entry_expression_pt,
     monomial_at,
     normal_order_single_mode,
+    position_of,
 )
+from ptmoments.operator_algebra import plan_for
 
 
 def idx(*pairs):
@@ -211,3 +216,39 @@ class TestEntryExpressionPt:
             assert entry_expression_pt(row, col, members) == entry_expression_pt(
                 swapped_row, swapped_col
             )
+
+
+class TestEntryPlan:
+    @pytest.mark.parametrize("modes, order", [(2, 4), (3, 2), (4, 3)])
+    def test_cut_ranks_each_key_with_its_cut_modes_swapped(self, modes, order):
+        # The layout rule, rebuilt from monomials: a key transposed in a mode
+        # has that mode's creation and annihilation exponents exchanged.
+        plan = plan_for(modes, tuple(range(1, count_up_to_weight(2 * modes, order) + 1)))
+        cuts = [t for cut in canonical_bipartitions(modes) for t in (cut, cut.complement())]
+        for cut in cuts:
+            positions, keys = plan.cut(cut.members)
+            rebuilt = [
+                MonomialIndex(tuple((l, k) if mode in cut.members else (k, l)
+                                    for mode, (k, l) in enumerate(key.pairs, start=1)))
+                for key in map(MonomialIndex.unpack, plan.keys.tolist())
+            ]
+            assert positions.tolist() == [position_of(m) for m in rebuilt]
+            assert keys.tolist() == [list(m.pack()) for m in rebuilt]
+
+    def test_compile_peak_stays_near_the_plan_it_keeps(self):
+        # 4 modes, order 3: 165 rows and 36,155 terms.  Terms grow by
+        # repeating their parents, with exponents kept as bytes, so compiling
+        # holds little beyond the arrays the plan keeps.
+        positions = tuple(range(1, count_up_to_weight(8, 3) + 1))
+        plan_for(4, positions)  # fills normal_order_single_mode's cache
+        plan_for.cache_clear()
+        tracemalloc.start()
+        try:
+            plan = plan_for(4, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.entry.size == 36_155
+        assert plan.keys.dtype == np.uint8
+        kept = sum(a.nbytes for a in (plan.entry, plan.coefficients, plan.keys, plan.key_index))
+        assert peak < 5 * kept
