@@ -5,6 +5,8 @@ states, searches their principal minors for negativity, and certifies full
 multipartite entanglement when every canonical bipartition shows it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .certify import (
     BipartitionOutcome,
     CertificationReport,
@@ -66,49 +68,8 @@ from .transpositions import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartitionOutcome",
-    "CertificationReport",
-    "CoherentProductMoments",
-    "Decomposition",
-    "ExponentLimitError",
-    "FockStateMoments",
-    "MinorResult",
-    "MomentDataError",
-    "MomentMatrix",
-    "MomentProvider",
-    "MonomialIndex",
-    "NumericError",
-    "ResourceLimitError",
-    "SearchBudget",
-    "Selection",
-    "TableMoments",
-    "TmsvMoments",
-    "TranspositionSet",
-    "TruncationError",
-    "UnresolvedMomentsError",
-    "WStateMoments",
-    "WStateParams",
-    "all_decompositions",
-    "bipartitions_coarsening",
-    "build_matrix",
-    "canonical_bipartitions",
-    "certify_full",
-    "count_up_to_weight",
-    "determinant",
-    "eigen_negativity_scan",
-    "entry_expression_pt",
-    "four_mode_pair_groups",
-    "load_moment_table",
-    "moment_table_to_json",
-    "monomial_at",
-    "named_minor",
-    "normal_order_single_mode",
-    "nth_multiindex",
-    "position_of",
-    "principal_minor",
-    "sweep",
-    "sweep_to_csv",
-    "table_from_provider",
-    "test_bipartition",
-]
+# Every public name the imports above bind, so an export is added or dropped in one place.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -252,7 +252,8 @@ def _refuse_unread_state_flags(args, source: str, reads=()) -> None:
 
 def _provider_from_args(args):
     if args.state is None:
-        raise ValueError("--state is required (coherent, tmsv, wstate or fock-file)")
+        *others, last = _STATES
+        raise ValueError(f"--state is required ({', '.join(others)} or {last})")
     reads, needs, build = _STATES[args.state]
     _refuse_unread_state_flags(args, f"--state {args.state}", reads)
     if any(getattr(args, dest) is None for dest in needs):

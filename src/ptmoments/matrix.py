@@ -56,7 +56,7 @@ class Selection:
 
     @classmethod
     def leading(cls, size: int) -> "Selection":
-        return cls(tuple(range(1, size + 1)))
+        return cls(tuple(range(1, _index(size, "size") + 1)))
 
     @classmethod
     def up_to_weight(cls, modes: int, max_order: int) -> "Selection":
@@ -340,7 +340,7 @@ def named_minor(provider, transposed, pairs) -> MinorResult:
     determinant tests whether c1 a_i a_j + c2 a_k a_l can expose negativity
     of the partially transposed state.
     """
-    (i, j), (k, l) = pairs
+    (i, j), (k, l) = pairs = [[_index(m, "pair modes") for m in pair] for pair in pairs]
     modes = provider.modes
     if len({i, j, k, l}) != 4:
         raise ValueError(f"pair modes must be distinct, got {(i, j, k, l)}")

@@ -39,6 +39,7 @@ class MomentProvider:
     tolerance = 0.0
 
     def __init__(self, modes: int):
+        modes = _index(modes, "modes")
         if modes < 1:
             raise ValueError("mode count must be >= 1")
         self.modes = modes
@@ -170,6 +171,7 @@ class WStateParams:
 
     @classmethod
     def symmetric(cls, modes: int, alpha, nbar: float = 0.0) -> "WStateParams":
+        modes = _index(modes, "modes")
         return cls((complex(alpha),) * modes, (float(nbar),) * modes)
 
 

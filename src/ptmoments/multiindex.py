@@ -33,6 +33,7 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
     come last (the hockey-stick sum of the blocks of each value), so the
     value is the largest ``t`` whose count reaches the indices from ``n`` on.
     """
+    d, n = _index(d, "dimension"), _index(n, "position")
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if n < 1:
@@ -69,6 +70,7 @@ def _index(value, what: str) -> int:
 
 def count_up_to_weight(d: int, w: int) -> int:
     """Number of ``d``-dimensional multi-indices with weight <= ``w``."""
+    d, w = _index(d, "dimension"), _index(w, "weight")
     if w < 0:
         return 0
     return math.comb(w + d, d)
@@ -89,11 +91,13 @@ class MonomialIndex:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if len(self.pairs) < 1:
+        pairs = tuple([(_index(k, "exponents"), _index(l, "exponents")) for k, l in self.pairs])
+        object.__setattr__(self, "pairs", pairs)
+        if len(pairs) < 1:
             raise ValueError("monomial needs at least one mode")
-        for k, l in self.pairs:
+        for k, l in pairs:
             if k < 0 or l < 0:
-                raise ValueError(f"exponents must be nonnegative: {self.pairs}")
+                raise ValueError(f"exponents must be nonnegative: {pairs}")
 
     @property
     def modes(self) -> int:
@@ -119,11 +123,11 @@ class MonomialIndex:
     def unpack(cls, u: MultiIndex) -> "MonomialIndex":
         if len(u) % 2 != 0:
             raise ValueError("packed multi-index must have even dimension")
-        return cls(tuple((u[2 * i + 1], u[2 * i]) for i in range(len(u) // 2)))
+        return cls(tuple(zip(u[1::2], u[::2])))
 
     @classmethod
     def identity(cls, modes: int) -> "MonomialIndex":
-        return cls(((0, 0),) * modes)
+        return cls(((0, 0),) * _index(modes, "modes"))
 
     @classmethod
     def parse(cls, text: str, modes: int | None = None) -> "MonomialIndex":
@@ -132,7 +136,7 @@ class MonomialIndex:
         The mode count defaults to the largest mode mentioned; repeated
         tokens accumulate.
         """
-        if modes is not None and modes < 1:
+        if modes is not None and (modes := _index(modes, "modes")) < 1:
             raise ValueError("mode count must be >= 1")
         tokens = text.split()
         if tokens == ["1"] or not tokens:
@@ -174,6 +178,7 @@ class MonomialIndex:
 
 def monomial_at(modes: int, position: int) -> MonomialIndex:
     """Monomial at a 1-based position of the ordered moment sequence."""
+    modes = _index(modes, "modes")
     if modes < 1:
         raise ValueError("mode count must be >= 1")
     return MonomialIndex.unpack(nth_multiindex(2 * modes, position))

@@ -85,7 +85,8 @@ def entry_expression_pt(row: MonomialIndex, col: MonomialIndex,
     return {MonomialIndex(pairs): c for pairs, c in terms.items()}
 
 
-#: compiled plans kept: a cut of n modes with pair minors reads 1 + 3*C(n, 4), 631 at 10 modes
+#: compiled plans kept: a cut of n modes with pair minors reads 1 + 3*C(n, 4), 991 at
+#: 11 modes, so this covers up to 11 modes; 1,486 at 12 modes evict each plan before reuse
 PLAN_CACHE_SIZE = 1024
 
 

@@ -28,6 +28,7 @@ class TranspositionSet:
     members: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "modes", _index(self.modes, "modes"))
         if self.modes < 1:
             raise ValueError("mode count must be >= 1")
         object.__setattr__(self, "members", frozenset(_index(m, "members") for m in self.members))
@@ -69,6 +70,7 @@ def canonical_bipartitions(n: int) -> list[TranspositionSet]:
     Representatives are the nonempty subsets of ``{1..n-1}``; there are
     ``2^(n-1) - 1`` of them, ordered by size then lexicographically.
     """
+    n = _index(n, "modes")
     if n < 2:
         raise ValueError("bipartitions need at least two modes")
     out = []
@@ -124,6 +126,7 @@ def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
 
 def all_decompositions(n: int) -> list[Decomposition]:
     """Every decomposition of ``1..n`` with at least two parts."""
+    n = _index(n, "modes")
 
     def partitions(items):
         if not items:

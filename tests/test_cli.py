@@ -256,6 +256,12 @@ class TestMomentsGen:
         assert out == ""
         assert err == "error: 'tolerance' must be a finite nonnegative number\n"
 
+    def test_state_required_lists_every_state(self):
+        code, out, err = invoke(["moments-gen"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --state is required (coherent, tmsv, wstate or fock-file)\n"
+
     def test_output_is_deterministic(self):
         argv = ["moments-gen", "--state", "wstate", "--alpha", "0.3", "--modes", "3", "--order", "2"]
         first = invoke(argv)

@@ -10,8 +10,16 @@ import pytest
 
 from ptmoments import (
     MonomialIndex,
+    Selection,
+    TableMoments,
+    TranspositionSet,
+    WStateMoments,
+    WStateParams,
+    all_decompositions,
+    canonical_bipartitions,
     count_up_to_weight,
     monomial_at,
+    named_minor,
     nth_multiindex,
     position_of,
 )
@@ -282,3 +290,52 @@ class TestMonomialIndex:
 def test_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _w_state():
+    return WStateMoments(WStateParams.symmetric(4, 0.3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nth_multiindex(2, 2.5), "position must be integers, got 2.5"),
+    (lambda: nth_multiindex(2.0, 3), "dimension must be integers, got 2.0"),
+    (lambda: monomial_at(1, 2.5), "position must be integers, got 2.5"),
+    (lambda: MonomialIndex(((0.5, 0),)), "exponents must be integers, got 0.5"),
+    (lambda: MonomialIndex.unpack((0, 1.0)), "exponents must be integers, got 1.0"),
+    (lambda: named_minor(_w_state(), (1,), ((1.0, 2.0), (3.0, 4.0))),
+     "pair modes must be integers, got 1.0"),
+], ids=["nth-position", "nth-dimension", "position-at", "exponent", "packed-exponent",
+        "pair-modes"])
+def test_non_integers_name_their_field(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WStateParams.symmetric(2.0, 0.3), "modes must be integers, got 2.0"),
+    (lambda: TranspositionSet(2.0, frozenset({1})), "modes must be integers, got 2.0"),
+    (lambda: TableMoments(2.0, {MonomialIndex.identity(2): 1.0}),
+     "modes must be integers, got 2.0"),
+    (lambda: canonical_bipartitions(4.0), "modes must be integers, got 4.0"),
+    (lambda: all_decompositions(3.0), "modes must be integers, got 3.0"),
+    (lambda: Selection.leading(2.0), "size must be integers, got 2.0"),
+    (lambda: count_up_to_weight(4, 2.5), "weight must be integers, got 2.5"),
+    (lambda: monomial_at(2.0, 3), "modes must be integers, got 2.0"),
+    (lambda: MonomialIndex.identity(2.0), "modes must be integers, got 2.0"),
+    (lambda: MonomialIndex.parse("a1", 2.5), "modes must be integers, got 2.5"),
+], ids=["symmetric-w", "transposition-set", "table", "bipartitions", "decompositions",
+        "leading-selection", "weight", "modes-at", "identity", "parse"])
+def test_float_counts_name_their_field(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_true_reads_as_one():
+    key = MonomialIndex(((True, 0),))
+    assert key.pack() == (0, 1)
+    assert [type(x) for x in key.pack()] == [int, int]
+    assert str(key) == "ad1"
+    assert nth_multiindex(2, True) == (0, 0)
+    provider = _w_state()
+    assert named_minor(provider, (1,), ((True, 2), (3, 4))) == \
+        named_minor(provider, (1,), ((1, 2), (3, 4)))

@@ -32,6 +32,11 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(ptmoments, name), name
 
 
+def test_all_holds_only_names_the_submodules_define():
+    for name in ptmoments.__all__:
+        assert getattr(ptmoments, name).__module__.startswith("ptmoments."), name
+
+
 def test_every_traced_layer_is_exported():
     layers = tracer_layers()
     assert layers

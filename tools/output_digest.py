@@ -19,6 +19,11 @@ prints the same lines.  The records are:
 * the default ``figure1``, and ``certify --state tmsv`` at r = 5, 10, 15, 20;
 * refusals: overflowing amplitudes, ``--max-minor-size 0``, a missing table
   file and NaN in parameters and in a table;
+* ``index nth`` and ``index of``, a position past 10^20 included, ``--help`` of
+  every command, ``--config`` files (used, overridden and refused),
+  ``moments-gen --out`` (the file it writes is hashed with stdout), a missing
+  or unread ``--state`` and ``--state fock-file`` on a small normalized ket
+  and density matrix;
 * the six demos;
 * in this process, ``certify_full`` plus the ``four_mode_pair_groups`` minors
   on a fixed grid of 4-mode W states.
@@ -95,7 +100,9 @@ class Runner:
 
     def __init__(self, checkout: Path, tmp: Path):
         self.tmp = tmp
-        self.env = dict(os.environ, PYTHONPATH=str(checkout / "src"), TMPDIR=str(tmp))
+        # A fixed width keeps argparse's help from following the caller's terminal.
+        self.env = dict(os.environ, PYTHONPATH=str(checkout / "src"), TMPDIR=str(tmp),
+                        COLUMNS="80")
 
     def run(self, argv: list) -> tuple[int, bytes, bytes]:
         """Exit code, stdout and stderr of ``python argv``, the temporary directory masked."""
@@ -107,6 +114,11 @@ class Runner:
 
     def cli(self, argv: list) -> tuple[int, bytes, bytes]:
         return self.run(["-m", "ptmoments.cli", *argv])
+
+    def cli_out(self, argv: list, path: Path) -> tuple[int, bytes, bytes]:
+        """:meth:`cli` with ``--out path``, the bytes written there appended to stdout."""
+        rc, out, err = self.cli([*argv, "--out", str(path)])
+        return rc, out + (path.read_bytes() if path.exists() else b""), err
 
 
 def process_records(runner: Runner, checkout: Path) -> list:
@@ -151,8 +163,72 @@ def process_records(runner: Runner, checkout: Path) -> list:
         ("refuse:nan-table", ["scan", "--moments", str(nan_table)]),
     ]
     records += [(name, partial(runner.cli, argv)) for name, argv in refusals]
+    records += surface_records(runner)
     records += [(f"demo:{path.name}", partial(runner.run, [str(path)]))
                 for path in sorted((checkout / "demos").glob("*.py"))]
+    return records
+
+
+def surface_records(runner: Runner) -> list:
+    """(name, call) of the index, help, config, ``--out`` and fock-file records; writes their inputs."""
+    import numpy as np
+
+    tmp = runner.tmp
+    # Two modes, cutoffs 5 and 5: a squeezed-like ket and a W-like pair mixed with vacuum.
+    ket = np.diag(0.4j ** np.arange(5)).ravel()
+    np.save(tmp / "ket.npy", ket / np.linalg.norm(ket))
+    w = np.zeros(25)
+    w[1] = w[5] = 2 ** -0.5
+    rho = 0.8 * np.outer(w, w)
+    rho[0, 0] += 0.2
+    np.save(tmp / "rho.npy", rho)
+    configs = {
+        "wstate": {"state": "wstate", "alpha": [0.3], "modes": 4, "nbar": 0.01},
+        "unknown-key": {"state": "tmsv", "r": 0.5, "sigma": 1},
+        "bool": {"state": "tmsv", "r": True},
+    }
+    for name, config in configs.items():
+        (tmp / f"config-{name}.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp / "config-bad.json").write_text("{", encoding="utf-8")
+    config = [f"--config={tmp / 'config-wstate.json'}"]
+    fock_ket = ["--state", "fock-file", f"--fock-file={tmp / 'ket.npy'}", "--cutoffs", "5,5"]
+    fock_rho = ["--state", "fock-file", f"--fock-file={tmp / 'rho.npy'}", "--cutoffs", "5,5"]
+    commands = [
+        ("index:nth:identity", ["index", "nth", "4", "1"]),
+        ("index:nth:pair", ["index", "nth", "8", "13"]),
+        ("index:nth:odd", ["index", "nth", "3", "20"]),
+        ("index:nth:past-1e20", ["index", "nth", "8", str(10 ** 21 + 7)]),
+        ("index:nth:zero", ["index", "nth", "4", "0"]),
+        ("index:of:pair", ["index", "of", "a1 a2", "--modes", "2"]),
+        ("index:of:past-1e20", ["index", "of", "ad1^239 ad2^118 ad3^240 ad4^471 a1^274 a2^28 "
+                                "a3^212 a4", "--modes", "4"]),
+        ("index:of:out-of-range", ["index", "of", "a5", "--modes", "3"]),
+        ("help", ["--help"]),
+        *[(f"help:{':'.join(sub)}", [*sub, "--help"])
+          for sub in (["moments-gen"], ["scan"], ["certify"], ["figure1"], ["index"],
+                      ["index", "nth"], ["index", "of"])],
+        ("config:certify", ["certify", *config]),
+        ("config:overridden", ["certify", *config, "--modes", "3", "--nbar", "0"]),
+        ("config:moments-gen", ["moments-gen", *config, "--order", "2"]),
+        *[(f"config:refuse:{name}", ["certify", f"--config={tmp / f'config-{name}.json'}"])
+          for name in ("unknown-key", "bool", "bad", "absent")],
+        ("state:required", ["moments-gen"]),
+        ("state:unread-flags", ["certify", "--state", "tmsv", "--r", "0.5", "--modes", "4"]),
+        ("fock-file:ket", ["certify", *fock_ket]),
+        ("fock-file:ket:moments-gen", ["moments-gen", *fock_ket, "--order", "2"]),
+        ("fock-file:density", ["certify", *fock_rho]),
+    ]
+    records = [(name, partial(runner.cli, argv)) for name, argv in commands]
+    outs = [
+        ("out:moments-gen",
+         ["moments-gen", "--state", "coherent", "--gamma=0.5,0.3-0.2i", "--order", "3"],
+         tmp / "out-coherent.json"),
+        ("out:moments-gen:fock-file", ["moments-gen", *fock_rho, "--order", "2"],
+         tmp / "out-fock.json"),
+        ("out:refuse:no-directory", ["moments-gen", "--state", "tmsv", "--r", "0.5"],
+         tmp / "absent" / "out.json"),
+    ]
+    records += [(name, partial(runner.cli_out, argv, path)) for name, argv, path in outs]
     return records
 
 
