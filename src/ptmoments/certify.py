@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import matrix
 from .matrix import BipartitionOutcome, eigen_negativity_scan, named_minor
-from .multiindex import _index
+from .multiindex import _positive
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -38,11 +38,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_order", "max_minor_size"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
-        if self.max_minor_size < 1:
-            raise ValueError("max_minor_size must be >= 1")
+            object.__setattr__(self, name, _positive(getattr(self, name), name))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 

@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import _sig12
-from .multiindex import MonomialIndex, _index, count_up_to_weight, position_of
+from .multiindex import MonomialIndex, _index, _positive, count_up_to_weight, position_of
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet, _as_transposition
 
@@ -261,12 +261,8 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     greedily shrunk.  The cut is NPT exactly when such an extension exists;
     its minor is the last block of the scanned matrix the search judged negative.
     """
-    max_order = _index(max_order, "max_order")
-    max_minor_size = _index(max_minor_size, "max_minor_size")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if max_minor_size < 1:
-        raise ValueError("max_minor_size must be >= 1")
+    max_order = _positive(max_order, "max_order")
+    max_minor_size = _positive(max_minor_size, "max_minor_size")
     size = count_up_to_weight(2 * provider.modes, max_order)
     if size > SIZE_CAP:
         raise ResourceLimitError(

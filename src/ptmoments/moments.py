@@ -25,7 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
-from .multiindex import MonomialIndex, _index, count_up_to_weight, monomial_at, position_of
+from .multiindex import (
+    MonomialIndex, _index, _positive, count_up_to_weight, monomial_at, position_of,
+)
 
 #: default consistency tolerance a moment table records (identity moment, Hermitian partners)
 TABLE_TOLERANCE = 1e-9
@@ -39,10 +41,7 @@ class MomentProvider:
     tolerance = 0.0
 
     def __init__(self, modes: int):
-        modes = _index(modes, "modes")
-        if modes < 1:
-            raise ValueError("mode count must be >= 1")
-        self.modes = modes
+        self.modes = _positive(modes, "modes", "mode count")
         # Moments by 1-based position; a position enters with its value.
         self._values: dict[int, complex] = {}
 

@@ -27,22 +27,20 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
     """The ``n``-th multi-index of dimension ``d`` (1-based).
 
     Exact inverse of :func:`position_of`, by bisection: the weight is the
-    least ``w`` with ``count_up_to_weight(d, w) >= n``, then coordinates are
-    fixed from the top down.  Of the same-weight indices that agree above
-    coordinate ``c``, the ``C(rem - t + c, c)`` with a value ``>= t`` there
-    come last (the hockey-stick sum of the blocks of each value), so the
-    value is the largest ``t`` whose count reaches the indices from ``n`` on.
+    least ``w`` whose ``C(w + d, d)`` indices of weight at most ``w`` reach
+    ``n``, then coordinates are fixed from the top down.  Of the same-weight indices
+    that agree above coordinate ``c``, the ``C(rem - t + c, c)`` with a value
+    ``>= t`` there come last (the hockey-stick sum of the blocks of each
+    value), so the value is the largest ``t`` whose count reaches the indices
+    from ``n`` on.  ``d`` and ``n`` pass the one gate :func:`_positive` in
+    argument order, so the bisection counts with ``math.comb`` unchecked.
     """
-    d, n = _index(d, "dimension"), _index(n, "position")
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if n < 1:
-        raise ValueError("position must be >= 1")
+    d, n = _positive(d, "dimension"), _positive(n, "position")
     hi = 1
-    while count_up_to_weight(d, hi) < n:
+    while math.comb(hi + d, d) < n:
         hi *= 2
-    w = _first_true(hi + 1, lambda w: count_up_to_weight(d, w) >= n)
-    rank = n - count_up_to_weight(d, w - 1) - 1
+    w = _first_true(hi + 1, lambda w: math.comb(w + d, d) >= n)
+    rank = n - math.comb(w - 1 + d, d) - 1
     out = [0] * d
     rem = w
     for c in range(d - 1, 0, -1):
@@ -68,8 +66,20 @@ def _index(value, what: str) -> int:
         raise TypeError(f"{what} must be integers, got {value!r}") from None
 
 
+def _positive(value, what: str, count: str | None = None) -> int:
+    """``value`` by :func:`_index`; below 1 it raises "``count`` or ``what`` must be >= 1"."""
+    value = _index(value, what)
+    if value < 1:
+        raise ValueError(f"{count or what} must be >= 1")
+    return value
+
+
 def count_up_to_weight(d: int, w: int) -> int:
-    """Number of ``d``-dimensional multi-indices with weight <= ``w``."""
+    """Number of ``d``-dimensional multi-indices with weight <= ``w``.
+
+    Checks its inputs with :func:`_index`; past the one gate :func:`_positive`,
+    ``math.comb(w + d, d)`` counts directly (0 at ``w = -1``).
+    """
     d, w = _index(d, "dimension"), _index(w, "weight")
     if w < 0:
         return 0
@@ -136,8 +146,8 @@ class MonomialIndex:
         The mode count defaults to the largest mode mentioned; repeated
         tokens accumulate.
         """
-        if modes is not None and (modes := _index(modes, "modes")) < 1:
-            raise ValueError("mode count must be >= 1")
+        if modes is not None:
+            modes = _positive(modes, "modes", "mode count")
         tokens = text.split()
         if tokens == ["1"] or not tokens:
             if modes is None:
@@ -178,9 +188,7 @@ class MonomialIndex:
 
 def monomial_at(modes: int, position: int) -> MonomialIndex:
     """Monomial at a 1-based position of the ordered moment sequence."""
-    modes = _index(modes, "modes")
-    if modes < 1:
-        raise ValueError("mode count must be >= 1")
+    modes = _positive(modes, "modes", "mode count")
     return MonomialIndex.unpack(nth_multiindex(2 * modes, position))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .multiindex import _index
+from .multiindex import _index, _positive
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class TranspositionSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _index(self.modes, "modes"))
-        if self.modes < 1:
-            raise ValueError("mode count must be >= 1")
+        object.__setattr__(self, "modes", _positive(self.modes, "modes", "mode count"))
         object.__setattr__(self, "members", frozenset(_index(m, "members") for m in self.members))
         if not self.members <= set(range(1, self.modes + 1)):
             raise ValueError(f"members {sorted(self.members)} not within 1..{self.modes}")

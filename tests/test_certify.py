@@ -33,13 +33,18 @@ from ptmoments import (
     build_matrix,
     canonical_bipartitions,
     certify_full,
+    count_up_to_weight,
     eigen_negativity_scan,
     four_mode_pair_groups,
+    load_moment_table,
+    monomial_at,
     named_minor,
+    position_of,
     sweep,
     sweep_to_csv,
 )
 from ptmoments import test_bipartition as probe_bipartition
+from ptmoments.operator_algebra import plan_for
 
 
 def wstate(alpha, nbar=0.0, modes=4):
@@ -255,6 +260,53 @@ class TestCertifyFull:
             rho = random_product_mixture(rng, modes, cutoffs[0])
             report = certify_full(FockStateMoments(rho, cutoffs), budget)
             assert not any(outcome.npt for outcome in report.outcomes)
+
+    @staticmethod
+    def adversarial_table(seed):
+        """A coherent-product table of order 2-3 with every moment moved by its
+        full tolerance to lower q = c^dagger M c on one cut, c being the lowest
+        eigenvector of that cut's true scan matrix.  Entry (r, s) of M weighs its
+        terms by conj(c_r) c_s, so moment j moves against its weight w_j; one key
+        of each Hermitian pair is written and the loader conjugates the other."""
+        rng = np.random.default_rng(seed)
+        modes, order = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        tolerance = 10.0 ** rng.uniform(-8, -2)
+        gammas = rng.uniform(0.1, 1.5, modes) * np.exp(2j * np.pi * rng.uniform(size=modes))
+        provider = CoherentProductMoments(gammas)
+        cuts = canonical_bipartitions(modes)
+        cut = cuts[rng.integers(len(cuts))]
+        selection = Selection.up_to_weight(modes, order)
+        vector = np.linalg.eigh(build_matrix(provider, cut, selection).values)[1][:, 0]
+        plan, size = plan_for(modes, selection.positions), len(selection)
+        weights = np.zeros(count_up_to_weight(2 * modes, 2 * order) + 1, dtype=complex)
+        np.add.at(weights, plan.cut(cut.members)[0][plan.key_index],
+                  vector.conj()[plan.entry // size] * vector[plan.entry % size]
+                  * plan.coefficients)
+        entries = []
+        for position in range(1, len(weights)):
+            key = monomial_at(modes, position)
+            partner = position_of(key.conjugate())
+            if partner < position:
+                continue
+            w = (weights[position] + weights[partner].conjugate()) / 2
+            value = provider.moment(key) - (tolerance * w.conjugate() / abs(w) if w else 0)
+            while position == 1 and abs(value - 1) > tolerance:
+                value = math.nextafter(value.real, 1)
+            entries.append({"k": [k for k, _ in key.pairs], "l": [l for _, l in key.pairs],
+                            "re": value.real, "im": value.imag})
+        doc = {"modes": modes, "tolerance": tolerance, "entries": entries}
+        return load_moment_table(json.dumps(doc)), order, cut
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_adversarial_tables_never_npt(self, seed):
+        # Every moment lies within the table's tolerance of a separable state's,
+        # so no cut may be NPT, though the targeted cut's lowest eigenvalue falls
+        # below -tolerance and its witness search runs.
+        table, order, cut = self.adversarial_table(seed)
+        report = certify_full(table, SearchBudget(max_order=order))
+        assert not any(outcome.npt for outcome in report.outcomes)
+        (target,) = [o for o in report.outcomes if o.transposition == cut]
+        assert target.min_eigenvalue < -table.tolerance
 
     # Today's verdicts on strong squeezing, pinned so that a change of the negativity
     # rule shows here: see CHANGES.md, FOUND "strong squeezing is never certified".

@@ -549,6 +549,24 @@ class TestEigenScan:
         assert result.minor is [minor for minor in calls if minor.negative][-1]
         assert [minor.selection for minor in calls].count(result.witness) == 1
 
+    def test_order_two_witness_stays_negative_at_order_three(self):
+        # The hierarchy: the order-2 matrix is the leading block of the order-3
+        # one, so a witness found at order 2 is a negative minor of the larger
+        # matrix too, with the same determinant (the order-3 search misses this
+        # cut today, and a mend can fall back on these blocks).
+        prov, cut = WStateMoments(WStateParams.symmetric(4, 0.05, 0.0)), (1, 2)
+        order2 = eigen_negativity_scan(prov, cut, max_order=2)
+        assert order2.witness == selection_of(2, 35)
+        assert order2.minor.determinant == pytest.approx(-3.90e-9, rel=1e-3)
+        small = build_matrix(prov, cut, Selection.up_to_weight(4, 2)).values
+        large = build_matrix(prov, cut, Selection.up_to_weight(4, 3))
+        assert small.shape == (45, 45)
+        assert np.array_equal(large.values[:45, :45], small)
+        kept = determinant(large, [p - 1 for p in order2.witness.positions])
+        assert kept.negative
+        assert kept.selection == order2.witness
+        assert kept.determinant == order2.minor.determinant
+
     def test_sizes_are_integers(self):
         prov = TmsvMoments(0.6)
         result = eigen_negativity_scan(prov, (2,), max_order=True, max_minor_size=True)

@@ -10,19 +10,23 @@ import pytest
 
 from ptmoments import (
     MonomialIndex,
+    SearchBudget,
     Selection,
     TableMoments,
+    TmsvMoments,
     TranspositionSet,
     WStateMoments,
     WStateParams,
     all_decompositions,
     canonical_bipartitions,
     count_up_to_weight,
+    eigen_negativity_scan,
     monomial_at,
     named_minor,
     nth_multiindex,
     position_of,
 )
+from ptmoments.moments import MomentProvider
 from ptmoments.multiindex import binomial_table, packed_positions
 
 
@@ -339,3 +343,56 @@ def test_true_reads_as_one():
     provider = _w_state()
     assert named_minor(provider, (1,), ((True, 2), (3, 4))) == \
         named_minor(provider, (1,), ((1, 2), (3, 4)))
+
+
+def _scan(**sizes):
+    return eigen_negativity_scan(TmsvMoments(0.6), (2,), **sizes).as_dict()
+
+
+# Every count or bound that must be an integer of at least 1, as a call of
+# that one input: the name a float is refused under, and the ">= 1" message.
+ONE_GATE = {
+    "parse-modes": (lambda v: MonomialIndex.parse("a1", v), "modes", "mode count"),
+    "monomial-at-modes": (lambda v: monomial_at(v, 2), "modes", "mode count"),
+    "provider-modes": (lambda v: MomentProvider(v).modes, "modes", "mode count"),
+    "transposition-modes": (lambda v: TranspositionSet(v, frozenset()), "modes", "mode count"),
+    "nth-dimension": (lambda v: nth_multiindex(v, 2), "dimension", "dimension"),
+    "nth-position": (lambda v: nth_multiindex(2, v), "position", "position"),
+    "budget-order": (lambda v: SearchBudget(max_order=v), "max_order", "max_order"),
+    "budget-minor-size": (lambda v: SearchBudget(max_minor_size=v),
+                          "max_minor_size", "max_minor_size"),
+    "scan-order": (lambda v: _scan(max_order=v), "max_order", "max_order"),
+    "scan-minor-size": (lambda v: _scan(max_minor_size=v), "max_minor_size", "max_minor_size"),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_GATE)
+def test_one_gate_refuses_a_float_by_name(entry):
+    call, field, _ = ONE_GATE[entry]
+    with pytest.raises(TypeError, match=f"^{field} must be integers, got 1\\.0$"):
+        call(1.0)
+
+
+@pytest.mark.parametrize("entry", ONE_GATE)
+def test_one_gate_reads_true_as_one(entry):
+    call, _, _ = ONE_GATE[entry]
+    assert call(True) == call(1)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("entry", ONE_GATE)
+def test_one_gate_refuses_below_one(entry, value):
+    call, _, count = ONE_GATE[entry]
+    with pytest.raises(ValueError, match=f"^{count} must be >= 1$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nth_multiindex(0, 2.5), "dimension must be >= 1"),
+    (lambda: SearchBudget(max_order=0, max_minor_size=2.5), "max_order must be >= 1"),
+    (lambda: _scan(max_order=0, max_minor_size=2.5), "max_order must be >= 1"),
+], ids=["nth", "budget", "scan"])
+def test_one_gate_names_the_first_bad_argument(call, message):
+    """Each input passes the gate whole, in argument order, before the next is read."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
