@@ -9,7 +9,7 @@ matrix rules out separability across the corresponding bipartition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,8 +81,8 @@ class MomentMatrix:
     values: np.ndarray
     provenance: str
     hermiticity_residual: float
-    #: how far an entry may lie from the state's own value, given the data's tolerance
-    uncertainty: float = 0.0
+    #: how far each entry may lie from the state's own value (one number bounds all)
+    uncertainty: np.ndarray | float = 0.0
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,10 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     the provider.  The Hermiticity defect is recorded, the matrix symmetrized
     as (m + m†)/2, and unresolved moments are reported all at once.  Each
     moment is taken to lie within the provider's ``tolerance`` of the state's
-    own (zero for analytic providers), so an entry lies within that times the
-    plan's ``spread``: the matrix's ``uncertainty``, which the Hermiticity
-    gate allows, with ``HERMITICITY_ULPS`` of rounding, and
-    :func:`determinant` weighs.
+    own (zero for analytic providers), so an entry lies within that times its
+    coefficient sum: the matrix's ``uncertainty``, whose largest entry the
+    Hermiticity gate allows, with ``HERMITICITY_ULPS`` of rounding, and which
+    :func:`determinant` weighs block by block.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -173,10 +173,11 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     if not np.all(np.isfinite(values)):
         raise NumericError(f"matrix entries of {provider.label} overflow")
     residual = float(np.max(np.abs(values - values.conj().T)))
-    uncertainty = provider.tolerance * plan.spread
+    uncertainty = provider.tolerance * np.bincount(
+        plan.entry, weights=plan.coefficients, minlength=n * n).reshape(n, n)
     # Partners summed from large terms may also differ by their rounding.
     magnitude = np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n)
-    allowed = (HERMITICITY_TOL + uncertainty
+    allowed = (HERMITICITY_TOL + float(uncertainty.max())
                + HERMITICITY_ULPS * np.finfo(float).eps * float(magnitude.max()))
     if residual > allowed:
         raise MomentDataError(
@@ -197,20 +198,21 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
 def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
     """The one rule for every minor: the principal block on the sorted
     ``indices`` (all rows by default) is negative when its determinant is
-    below -:func:`negativity_threshold`, which includes the most the
-    matrix's ``uncertainty`` can move it.  An overflowing determinant or
-    threshold raises :class:`NumericError` naming the matrix's source; so
-    does an imaginary part (rounding, for a Hermitian matrix) above both 1e-6
-    relative to the real part and the threshold, below which it cannot move
-    a verdict.
+    below -:func:`negativity_threshold` of the block and its own ``uncertainty``,
+    whatever matrix holds it.  An overflowing determinant or
+    threshold raises :class:`NumericError` naming the matrix's source; so does an
+    imaginary part (rounding, for a Hermitian matrix) above both 1e-6 relative
+    to the real part and the threshold, below which it cannot move a verdict.
     """
     selection, block = matrix.selection, matrix.values
+    uncertainty = np.broadcast_to(matrix.uncertainty, block.shape)
     if indices is not None:
         indices = sorted(indices)
         selection = Selection(tuple(selection.positions[i] for i in indices))
-        block = block[np.ix_(indices, indices)]
+        rows = np.ix_(indices, indices)
+        block, uncertainty = block[rows], uncertainty[rows]
     det = complex(np.linalg.det(block))
-    threshold = negativity_threshold(block, matrix.uncertainty)
+    threshold = negativity_threshold(block, uncertainty)
     if not (np.isfinite(det) and np.isfinite(threshold)):
         raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
                            f"threshold {threshold}")
@@ -228,18 +230,16 @@ def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
     )
 
 
-def negativity_threshold(values: np.ndarray, uncertainty: float = 0.0) -> float:
-    """Scale-aware determinant tolerance from the diagonal magnitudes, plus
-    the most that entries each off by ``uncertainty`` can move the determinant.
-    """
+def negativity_threshold(values: np.ndarray, uncertainty=0.0) -> float:
+    """Scale-aware determinant tolerance plus the most the entries' ``uncertainty`` can move it."""
     scale = float(np.prod(np.abs(np.diagonal(values))))
     threshold = DET_TOL_SCALE * max(1.0, scale)
-    if uncertainty:
+    uncertainty = np.broadcast_to(uncertainty, values.shape)
+    if uncertainty.any():  # so exact data adds 0, not inf - inf, where row norms overflow
         # The determinant is linear in each row, and Hadamard's inequality
         # bounds every term of that expansion by a product of row norms.
         norms = np.linalg.norm(values, axis=1)
-        error = uncertainty * np.sqrt(len(norms))
-        threshold += float(np.prod(norms + error) - np.prod(norms))
+        threshold += float(np.prod(norms + np.linalg.norm(uncertainty, axis=1)) - np.prod(norms))
     return threshold
 
 
@@ -258,8 +258,12 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     with weights that agree to ``DET_TOL_SCALE`` taken in position order:
     each prefix is extended by its most negative Schur-complement column,
     and the first negative extension, of at most ``max_minor_size`` rows, is
-    greedily shrunk.  The cut is NPT exactly when such an extension exists;
-    its minor is the last block of the scanned matrix the search judged negative.
+    greedily shrunk.  Where it finds none, the same search runs on the leading
+    blocks of orders ``max_order - 1`` down to 1, sliced from the matrix, until
+    one yields a witness or has no eigenvalue below ``-tol`` (by interlacing, no
+    smaller block has one then), so a larger budget never loses a cut.  The cut
+    is NPT exactly when some search succeeds; its minor is the last block that
+    search judged negative.  ``min_eigenvalue`` is the full matrix's.
     """
     max_order = _positive(max_order, "max_order")
     max_minor_size = _positive(max_minor_size, "max_minor_size")
@@ -269,11 +273,16 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
             f"scan matrix would be {size}x{size}, above the cap {SIZE_CAP}"
         )
     matrix = build_matrix(provider, transposed, Selection.leading(size))
-    eigenvalues, vectors = np.linalg.eigh(matrix.values)
-    min_eigenvalue = float(eigenvalues[0])
     minor = None
-    if min_eigenvalue < -tol:
-        minor = _extract_witness(matrix, vectors[:, 0], max_minor_size)
+    for order in range(max_order, 0, -1):
+        n = count_up_to_weight(2 * provider.modes, order)
+        block = replace(matrix, selection=Selection.leading(n), values=matrix.values[:n, :n],
+                        uncertainty=matrix.uncertainty[:n, :n])
+        eigenvalues, vectors = np.linalg.eigh(block.values)
+        if order == max_order:
+            min_eigenvalue = float(eigenvalues[0])
+        if eigenvalues[0] >= -tol or (minor := _extract_witness(block, vectors[:, 0], max_minor_size)):
+            break
     return BipartitionOutcome(matrix.transposition, minor, min_eigenvalue)
 
 

@@ -102,9 +102,9 @@ class EntryPlan:
     coefficients unchanged, so one plan serves every cut: :meth:`cut` ranks
     the distinct keys with a private binomial table.  Arrays are read-only.
     Coefficients are float64 products of the exact per-mode integers, exact
-    while they stay below 2**53; ``spread`` is the largest coefficient sum of
-    one entry.  An entry's terms come in an order that its row and column
-    monomials alone fix, so every selection and cut sums that entry alike.
+    while they stay below 2**53.  An entry's terms come in an order that its
+    row and column monomials alone fix, so every selection and cut sums that
+    entry alike.
     """
 
     def __init__(self, modes: int, monomials):
@@ -138,7 +138,6 @@ class EntryPlan:
             keys = np.hstack((np.repeat(keys, counts, axis=0), packed[factor]))
         self.entry = entry
         self.coefficients = coefficients
-        self.spread = float(np.bincount(entry, weights=coefficients).max())
         # The heaviest term of an entry has the weight of its row and column.
         self._binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
         _, first, self.key_index = np.unique(

@@ -297,6 +297,16 @@ class TestCertifyFull:
         doc = {"modes": modes, "tolerance": tolerance, "entries": entries}
         return load_moment_table(json.dumps(doc)), order, cut
 
+    @pytest.mark.parametrize("alpha, nbar", [(0.05, 0.0), (0.13, 0.03), (0.2, 0.06), (0.3, 0.06)])
+    @pytest.mark.parametrize("strategy", ["eigen-scan", "both"])
+    def test_larger_budget_keeps_every_cut(self, alpha, nbar, strategy):
+        # The order-2 matrix is a leading block of the order-3 one, so a cut
+        # NPT at max_order 2 stays NPT at 3.
+        budgets = [SearchBudget(max_order=order, strategy=strategy) for order in (2, 3)]
+        low, high = (certify_full(wstate(alpha, nbar), budget) for budget in budgets)
+        for small, large in zip(low.outcomes, high.outcomes):
+            assert large.npt or not small.npt, small.transposition
+
     @pytest.mark.parametrize("seed", range(20))
     def test_adversarial_tables_never_npt(self, seed):
         # Every moment lies within the table's tolerance of a separable state's,

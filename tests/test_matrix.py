@@ -155,8 +155,8 @@ class TestBuildMatrix:
 
     @pytest.mark.parametrize("defect", [1e-4, 1e-2])
     def test_table_defect_judged_by_its_tolerance(self, defect):
-        # Entry (ad, ad) is <a ad> = <ad a> + 1, so the plan's spread is 2 and
-        # partners a 1e-3 tolerance lets differ may break Hermiticity by 2e-3.
+        # Entry (ad, ad) is <a ad> = <ad a> + 1, the largest coefficient sum, 2,
+        # so partners a 1e-3 tolerance lets differ may break Hermiticity by 2e-3.
         entries = {MonomialIndex(((k, l),)): 0.5 ** (k + l)
                    for k in range(3) for l in range(3 - k)}
         entries[MonomialIndex(((1, 0),))] += defect
@@ -396,18 +396,30 @@ class TestDeterminant:
         assert determinant(self.manual_matrix(values)).negative
         assert not determinant(self.manual_matrix(values, u)).negative
         assert determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-3]], u)).negative
+        # Each row is charged its own entries' errors and an exact row adds
+        # nothing: an error in the unit row moves this determinant by u * 1e-4
+        # at most, one in the small row by u.
+        assert negativity_threshold(np.eye(2), [[0.0, 0.0], [0.0, u]]) == pytest.approx(1e-10 + u)
+        assert not determinant(self.manual_matrix(values, [[0.0, 0.0], [0.0, u]])).negative
+        assert determinant(self.manual_matrix(values, [[u, 0.0], [0.0, 0.0]])).negative
 
     def test_uncertain_psd_matrix_never_negative(self):
-        # A rank-one PSD block, each entry moved by at most u, is never called negative.
+        # A rank-one PSD block, each entry moved by at most its uncertainty, is
+        # never called negative: one u for all, or a Hermitian-symmetric array.
         rng = np.random.default_rng(7)
         u = 1e-3
         for size in (2, 3, 4):
-            for _ in range(200):
-                v = rng.normal(size=size) + 1j * rng.normal(size=size)
-                noise = rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
-                noise = (noise + noise.conj().T) / 2 * u / np.sqrt(2)
-                values = np.outer(v.conj(), v) + noise
-                assert not determinant(self.manual_matrix(values, u)).negative
+            for uniform in (True, False):
+                for _ in range(200):
+                    bound = u
+                    if not uniform:
+                        bound = rng.uniform(0, u, (size, size)) * (rng.random((size, size)) < 0.8)
+                        bound = (bound + bound.T) / 2
+                    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+                    noise = rng.uniform(-1, 1, (size, size)) + 1j * rng.uniform(-1, 1, (size, size))
+                    noise = (noise + noise.conj().T) / 2 * bound / np.sqrt(2)
+                    values = np.outer(v.conj(), v) + noise
+                    assert not determinant(self.manual_matrix(values, bound)).negative
 
     def test_as_dict_format(self):
         minor = principal_minor(TmsvMoments(0.8), (2,), selection_of(2, 4))
@@ -552,8 +564,9 @@ class TestEigenScan:
     def test_order_two_witness_stays_negative_at_order_three(self):
         # The hierarchy: the order-2 matrix is the leading block of the order-3
         # one, so a witness found at order 2 is a negative minor of the larger
-        # matrix too, with the same determinant (the order-3 search misses this
-        # cut today, and a mend can fall back on these blocks).
+        # matrix too, with the same determinant.  The order-3 search along the
+        # full matrix's eigenvector misses this cut, and the scan falls back on
+        # that block.
         prov, cut = WStateMoments(WStateParams.symmetric(4, 0.05, 0.0)), (1, 2)
         order2 = eigen_negativity_scan(prov, cut, max_order=2)
         assert order2.witness == selection_of(2, 35)
@@ -566,6 +579,11 @@ class TestEigenScan:
         assert kept.negative
         assert kept.selection == order2.witness
         assert kept.determinant == order2.minor.determinant
+        order3 = eigen_negativity_scan(prov, cut, max_order=3)
+        assert order3.npt
+        assert order3.minor.as_dict() == order2.minor.as_dict()
+        assert order3.min_eigenvalue == float(np.linalg.eigh(large.values)[0][0])
+        assert order3.min_eigenvalue < order2.min_eigenvalue < 0
 
     def test_sizes_are_integers(self):
         prov = TmsvMoments(0.6)
@@ -609,6 +627,22 @@ class TestNamedMinor:
         prov = CoherentProductMoments((0.2, 0.3, 0.1, 0.4))
         minor = named_minor(prov, (1,), ((1, 2), (3, 4)))
         assert minor.verdict == "nonnegative"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_scan_block_of_a_table(self, seed):
+        # A pair minor is judged by its own block: the same rows of the order-2
+        # scan matrix of a table give the same determinant and verdict.
+        rng = np.random.default_rng(seed)
+        params = WStateParams(
+            tuple(rng.uniform(0.05, 0.5, 4) * np.exp(2j * np.pi * rng.uniform(size=4))),
+            tuple(rng.uniform(0.0, 0.03, 4)))
+        table = table_from_provider(WStateMoments(params), 4, tolerance=1e-3)
+        for cut in canonical_bipartitions(4):
+            scan = build_matrix(table, cut, Selection.up_to_weight(4, 2))
+            for pairs in _pair_combinations(4):
+                named = named_minor(table, cut, pairs)
+                block = determinant(scan, [p - 1 for p in named.selection.positions])
+                assert block.as_dict() == named.as_dict(), (cut, pairs)
 
     def test_needs_only_its_own_keys(self):
         # With one photon level per mode the pair minor's keys exist and the
