@@ -35,6 +35,7 @@ from .moments import (
     TmsvMoments,
     WStateMoments,
     WStateParams,
+    _json_object,
     load_moment_table,
     moment_table_to_json,
     table_from_provider,
@@ -175,12 +176,7 @@ def _config_flags(args) -> list[str]:
     or an object has no flag form and is refused.
     """
     with open(args.config, "r", encoding="utf-8") as handle:
-        try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise MomentDataError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise MomentDataError("config must be a JSON object")
+        config = _json_object(handle.read(), "config")
     allowed = set(vars(args)) - {"command", "func", "config"}
     unknown = {key for key in config if key.replace("-", "_") not in allowed}
     if unknown:
@@ -360,7 +356,7 @@ def main(argv=None) -> int:
         missing = ", ".join(str(key) for key in exc.missing)
         print(f"error: moments unresolved for keys: {missing}", file=sys.stderr)
         return EXIT_MISSING_MOMENTS
-    except (ValueError, ArithmeticError, ResourceLimitError) as exc:
+    except (ValueError, ArithmeticError, ResourceLimitError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

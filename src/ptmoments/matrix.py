@@ -81,8 +81,15 @@ class MomentMatrix:
     values: np.ndarray
     provenance: str
     hermiticity_residual: float
-    #: how far each entry may lie from the state's own value (one number bounds all)
-    uncertainty: np.ndarray | float = 0.0
+    #: how far each entry may lie from the state's own value
+    uncertainty: np.ndarray
+
+    def block(self, indices) -> "MomentMatrix":
+        """The principal block on the sorted row ``indices``, a moment matrix of its own."""
+        indices = sorted(indices)
+        rows, positions = np.ix_(indices, indices), self.selection.positions
+        return replace(self, selection=Selection(tuple(positions[i] for i in indices)),
+                       values=self.values[rows], uncertainty=self.uncertainty[rows])
 
 
 @dataclass(frozen=True)
@@ -195,24 +202,16 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
-    """The one rule for every minor: the principal block on the sorted
-    ``indices`` (all rows by default) is negative when its determinant is
-    below -:func:`negativity_threshold` of the block and its own ``uncertainty``,
-    whatever matrix holds it.  An overflowing determinant or
-    threshold raises :class:`NumericError` naming the matrix's source; so does an
-    imaginary part (rounding, for a Hermitian matrix) above both 1e-6 relative
-    to the real part and the threshold, below which it cannot move a verdict.
+def determinant(matrix: MomentMatrix) -> MinorResult:
+    """The one rule for every minor: ``matrix``, whole or a :meth:`~MomentMatrix.block`,
+    is negative when its determinant is below -:func:`negativity_threshold` of its
+    values and ``uncertainty``.  An overflowing determinant or threshold raises
+    :class:`NumericError` naming the matrix's source; so does an imaginary part
+    (rounding, for a Hermitian matrix) above both 1e-6 relative to the real part
+    and the threshold, below which it cannot move a verdict.
     """
-    selection, block = matrix.selection, matrix.values
-    uncertainty = np.broadcast_to(matrix.uncertainty, block.shape)
-    if indices is not None:
-        indices = sorted(indices)
-        selection = Selection(tuple(selection.positions[i] for i in indices))
-        rows = np.ix_(indices, indices)
-        block, uncertainty = block[rows], uncertainty[rows]
-    det = complex(np.linalg.det(block))
-    threshold = negativity_threshold(block, uncertainty)
+    det = complex(np.linalg.det(matrix.values))
+    threshold = negativity_threshold(matrix.values, matrix.uncertainty)
     if not (np.isfinite(det) and np.isfinite(threshold)):
         raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
                            f"threshold {threshold}")
@@ -222,7 +221,7 @@ def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
             f"determinant imaginary part {det.imag:.3e} too large for a Hermitian matrix"
         )
     return MinorResult(
-        selection=selection,
+        selection=matrix.selection,
         transposition=matrix.transposition,
         determinant=det.real,
         imag_residual=imag_residual,
@@ -230,11 +229,10 @@ def determinant(matrix: MomentMatrix, indices=None) -> MinorResult:
     )
 
 
-def negativity_threshold(values: np.ndarray, uncertainty=0.0) -> float:
+def negativity_threshold(values: np.ndarray, uncertainty: np.ndarray) -> float:
     """Scale-aware determinant tolerance plus the most the entries' ``uncertainty`` can move it."""
     scale = float(np.prod(np.abs(np.diagonal(values))))
     threshold = DET_TOL_SCALE * max(1.0, scale)
-    uncertainty = np.broadcast_to(uncertainty, values.shape)
     if uncertainty.any():  # so exact data adds 0, not inf - inf, where row norms overflow
         # The determinant is linear in each row, and Hadamard's inequality
         # bounds every term of that expansion by a product of row norms.
@@ -273,11 +271,10 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
             f"scan matrix would be {size}x{size}, above the cap {SIZE_CAP}"
         )
     matrix = build_matrix(provider, transposed, Selection.leading(size))
-    minor = None
+    block, minor = matrix, None
     for order in range(max_order, 0, -1):
-        n = count_up_to_weight(2 * provider.modes, order)
-        block = replace(matrix, selection=Selection.leading(n), values=matrix.values[:n, :n],
-                        uncertainty=matrix.uncertainty[:n, :n])
+        if order < max_order:
+            block = matrix.block(range(count_up_to_weight(2 * provider.modes, order)))
         eigenvalues, vectors = np.linalg.eigh(block.values)
         if order == max_order:
             min_eigenvalue = float(eigenvalues[0])
@@ -320,7 +317,7 @@ def _extract_witness(matrix: MomentMatrix, vector: np.ndarray,
             raise NumericError(f"a minor of {matrix.provenance} overflows: Schur {low}")
         best = int(np.argmax(schur <= low + DET_TOL_SCALE * abs(low)))
         candidate = order[:k] + [best]
-        if low < 0.0 and (minor := determinant(matrix, candidate)).negative:
+        if low < 0.0 and (minor := determinant(matrix.block(candidate))).negative:
             return _greedy_shrink(matrix, candidate, minor)
     return None
 
@@ -330,7 +327,7 @@ def _greedy_shrink(matrix: MomentMatrix, indices: list[int], minor: MinorResult)
     while len(indices) > 1:
         for drop in reversed(range(len(indices))):
             trial = indices[:drop] + indices[drop + 1:]
-            if (result := determinant(matrix, trial)).negative:
+            if (result := determinant(matrix.block(trial))).negative:
                 indices, minor = trial, result
                 break
         else:

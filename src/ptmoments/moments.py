@@ -340,6 +340,17 @@ class TableMoments(MomentProvider):
         raise UnresolvedMomentsError([key])
 
 
+def _json_object(text: str, what: str) -> dict:
+    """``text`` parsed as a JSON object; anything else, nesting too deep included, is refused."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MomentDataError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MomentDataError(f"{what} must be a JSON object")
+    return doc
+
+
 def load_moment_table(source) -> TableMoments:
     """Parse and validate the JSON moment-table format.
 
@@ -354,12 +365,7 @@ def load_moment_table(source) -> TableMoments:
         source = source.read()
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise MomentDataError(f"moment table is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise MomentDataError("moment table must be a JSON object")
+    doc = _json_object(source, "moment table")
     unknown = set(doc) - {"modes", "tolerance", "entries"}
     if unknown:
         raise MomentDataError(f"unknown moment-table keys: {sorted(unknown)}")

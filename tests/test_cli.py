@@ -237,6 +237,16 @@ class TestMomentsGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "coherent(1e+200,1)" in err
 
+    def test_order_too_large_to_allocate_refused(self):
+        # numpy refuses the 35.5 PiB position array before allocating any of it.
+        code, out, err = invoke(
+            ["moments-gen", "--state", "coherent", "--gamma", "0.5", "--order", "100000000"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert "Unable to allocate" in err
+
     def test_negative_order_refused(self):
         # Below order 0 not even the identity entry a table needs would be written.
         code, out, err = invoke(
@@ -968,6 +978,15 @@ class TestConfigFile:
         assert_one_error_line(err)
         assert err.startswith("error: config is not valid JSON: ")
 
+    def test_deeply_nested_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        code, out, err = invoke(["certify", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err.startswith("error: config is not valid JSON: ")
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         code, out, err = invoke(
             ["moments-gen", "--config", str(tmp_path / "nope.json")]
@@ -1000,3 +1019,12 @@ class TestTopLevelErrors:
         code, out, err = invoke(["scan", "--moments", str(path)])
         assert code == EXIT_USAGE
         assert "JSON" in err
+
+    def test_deeply_nested_moment_table_is_data_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = invoke(["scan", "--moments", str(path)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert_one_error_line(err)
+        assert err.startswith("error: moment table is not valid JSON: ")

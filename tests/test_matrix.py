@@ -204,6 +204,28 @@ class TestBuildMatrix:
                         want = build_matrix(prov, transposed, selection).values
                         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_is_the_matrix_built_over_its_rows(self, seed):
+        # Entries sum their terms in an order their own monomials fix, so a
+        # principal block of the scan matrix of a table is, bit for bit, the
+        # matrix built over its rows: values, uncertainties and positions.
+        rng = np.random.default_rng(seed)
+        params = WStateParams(
+            tuple(rng.uniform(0.05, 0.5, 4) * np.exp(2j * np.pi * rng.uniform(size=4))),
+            tuple(rng.uniform(0.0, 0.03, 4)))
+        table = table_from_provider(WStateMoments(params), 4, tolerance=1e-3)
+        for cut in canonical_bipartitions(4):
+            scan = build_matrix(table, cut, Selection.up_to_weight(4, 2))
+            for size in range(1, 7):
+                rows = rng.choice(len(scan.selection), size, replace=False)
+                block = scan.block(rows)
+                positions = tuple(sorted(int(r) + 1 for r in rows))
+                built = build_matrix(table, cut, Selection(positions))
+                assert block.selection == built.selection
+                assert block.values.tobytes() == built.values.tobytes()
+                assert block.uncertainty.tobytes() == built.uncertainty.tobytes()
+                assert (block.transposition, block.provenance) == (cut, table.label)
+
 
 class TestAssemblyMemory:
     def test_scan_matrix_peak_allocation(self):
@@ -334,6 +356,7 @@ class TestPlanEquivalence:
 class TestDeterminant:
     @staticmethod
     def manual_matrix(values, uncertainty=0.0):
+        # One number stands for the same bound on every entry.
         values = np.asarray(values, dtype=complex)
         return MomentMatrix(
             selection=Selection.leading(values.shape[0]),
@@ -341,7 +364,7 @@ class TestDeterminant:
             values=values,
             provenance="manual",
             hermiticity_residual=0.0,
-            uncertainty=uncertainty,
+            uncertainty=np.zeros(values.shape) + uncertainty,
         )
 
     def test_scalar(self):
@@ -379,8 +402,9 @@ class TestDeterminant:
             determinant(self.manual_matrix([[1j, 0.0], [0.0, 1.0]]))
 
     def test_threshold_scales_with_diagonal(self):
-        assert negativity_threshold(np.diag([10.0, 10.0])) == pytest.approx(1e-8)
-        assert negativity_threshold(np.diag([0.1])) == pytest.approx(1e-10)
+        exact = np.zeros((2, 2))
+        assert negativity_threshold(np.diag([10.0, 10.0]), exact) == pytest.approx(1e-8)
+        assert negativity_threshold(np.diag([0.1]), exact[:1, :1]) == pytest.approx(1e-10)
         tiny = determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-12]]))
         assert tiny.verdict == "nonnegative"
         res = determinant(self.manual_matrix([[1.0, 0.0], [0.0, -1e-9]]))
@@ -391,7 +415,7 @@ class TestDeterminant:
         # determinant by at most (1 + u sqrt 2)^2 - 1.
         u = 1e-4
         bound = (1 + u * np.sqrt(2)) ** 2 - 1
-        assert negativity_threshold(np.eye(2), u) == pytest.approx(1e-10 + bound)
+        assert negativity_threshold(np.eye(2), np.full((2, 2), u)) == pytest.approx(1e-10 + bound)
         values = [[1.0, 0.0], [0.0, -1e-4]]
         assert determinant(self.manual_matrix(values)).negative
         assert not determinant(self.manual_matrix(values, u)).negative
@@ -399,7 +423,7 @@ class TestDeterminant:
         # Each row is charged its own entries' errors and an exact row adds
         # nothing: an error in the unit row moves this determinant by u * 1e-4
         # at most, one in the small row by u.
-        assert negativity_threshold(np.eye(2), [[0.0, 0.0], [0.0, u]]) == pytest.approx(1e-10 + u)
+        assert negativity_threshold(np.eye(2), np.diag([0.0, u])) == pytest.approx(1e-10 + u)
         assert not determinant(self.manual_matrix(values, [[0.0, 0.0], [0.0, u]])).negative
         assert determinant(self.manual_matrix(values, [[u, 0.0], [0.0, 0.0]])).negative
 
@@ -551,8 +575,8 @@ class TestEigenScan:
         # the last negative call, and no other call judged the witness rows.
         calls = []
 
-        def spy(matrix, indices=None):
-            calls.append(determinant(matrix, indices))
+        def spy(matrix):
+            calls.append(determinant(matrix))
             return calls[-1]
 
         monkeypatch.setattr("ptmoments.matrix.determinant", spy)
@@ -575,7 +599,7 @@ class TestEigenScan:
         large = build_matrix(prov, cut, Selection.up_to_weight(4, 3))
         assert small.shape == (45, 45)
         assert np.array_equal(large.values[:45, :45], small)
-        kept = determinant(large, [p - 1 for p in order2.witness.positions])
+        kept = determinant(large.block(p - 1 for p in order2.witness.positions))
         assert kept.negative
         assert kept.selection == order2.witness
         assert kept.determinant == order2.minor.determinant
@@ -641,7 +665,7 @@ class TestNamedMinor:
             scan = build_matrix(table, cut, Selection.up_to_weight(4, 2))
             for pairs in _pair_combinations(4):
                 named = named_minor(table, cut, pairs)
-                block = determinant(scan, [p - 1 for p in named.selection.positions])
+                block = determinant(scan.block(p - 1 for p in named.selection.positions))
                 assert block.as_dict() == named.as_dict(), (cut, pairs)
 
     def test_needs_only_its_own_keys(self):
