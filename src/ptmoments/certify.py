@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 from . import matrix
 from .matrix import BipartitionOutcome, eigen_negativity_scan, named_minor
-from .multiindex import _positive
+from .multiindex import _index
 from .transpositions import (
     Decomposition,
     TranspositionSet,
@@ -38,7 +38,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_order", "max_minor_size"):
-            object.__setattr__(self, name, _positive(getattr(self, name), name))
+            object.__setattr__(self, name, _index(getattr(self, name), name, 1))
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 

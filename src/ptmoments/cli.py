@@ -40,7 +40,7 @@ from .moments import (
     moment_table_to_json,
     table_from_provider,
 )
-from .multiindex import MonomialIndex, _positive, nth_multiindex, position_of
+from .multiindex import MonomialIndex, _index, nth_multiindex, position_of
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -209,7 +209,7 @@ def _budget_from_args(args, table=None) -> SearchBudget:
 def _wstate_provider(args):
     alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
     modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
-    modes = _positive(modes, "--modes")
+    modes = _index(modes, "--modes", 1)
     if len(alphas) == 1:
         alphas = alphas * modes
     if len(nbars) == 1:

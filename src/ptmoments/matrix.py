@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .moments import _sig12
-from .multiindex import MonomialIndex, _index, _positive, count_up_to_weight, position_of
+from .multiindex import MonomialIndex, _index, count_up_to_weight, position_of
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet, _as_transposition
 
@@ -45,12 +45,10 @@ class Selection:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        positions = tuple(_index(p, "positions") for p in self.positions)
+        positions = tuple(_index(p, "positions", 1) for p in self.positions)
         object.__setattr__(self, "positions", positions)
         if not positions:
             raise ValueError("selection must contain at least one position")
-        if positions[0] < 1:
-            raise ValueError("positions are 1-based")
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ValueError("positions must be strictly increasing")
 
@@ -263,8 +261,8 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     is NPT exactly when some search succeeds; its minor is the last block that
     search judged negative.  ``min_eigenvalue`` is the full matrix's.
     """
-    max_order = _positive(max_order, "max_order")
-    max_minor_size = _positive(max_minor_size, "max_minor_size")
+    max_order = _index(max_order, "max_order", 1)
+    max_minor_size = _index(max_minor_size, "max_minor_size", 1)
     size = count_up_to_weight(2 * provider.modes, max_order)
     if size > SIZE_CAP:
         raise ResourceLimitError(

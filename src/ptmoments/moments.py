@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
 from .multiindex import (
-    MonomialIndex, _index, _positive, count_up_to_weight, monomial_at, position_of,
+    MonomialIndex, _index, count_up_to_weight, monomial_at, position_of,
 )
 
 #: default consistency tolerance a moment table records (identity moment, Hermitian partners)
@@ -41,7 +41,7 @@ class MomentProvider:
     tolerance = 0.0
 
     def __init__(self, modes: int):
-        self.modes = _positive(modes, "modes", "mode count")
+        self.modes = _index(modes, "modes", 1, "mode count")
         # Moments by 1-based position; a position enters with its value.
         self._values: dict[int, complex] = {}
 
@@ -155,8 +155,7 @@ class WStateParams:
         object.__setattr__(self, "nbars", tuple(float(x) for x in self.nbars))
         if len(self.alphas) != len(self.nbars):
             raise ValueError("alphas and nbars must have the same length")
-        if len(self.alphas) < 1:
-            raise ValueError("at least one mode required")
+        _index(len(self.alphas), "modes", 1, "mode count")
         if not all(map(cmath.isfinite, self.alphas)):
             raise MomentDataError(f"amplitudes alpha must be finite, got {self.alphas}")
         if not all(0 <= x < math.inf for x in self.nbars):
@@ -270,10 +269,8 @@ class FockStateMoments(MomentProvider):
     """
 
     def __init__(self, state, cutoffs, label: str = "fock-oracle"):
-        cutoffs = (cutoffs,) if isinstance(cutoffs, int) else cutoffs
-        cutoffs = tuple(_index(c, "cutoffs") for c in cutoffs)
-        if any(c < 1 for c in cutoffs):
-            raise MomentDataError("cutoffs must be >= 1")
+        cutoffs = cutoffs if np.iterable(cutoffs) else (cutoffs,)
+        cutoffs = tuple(_index(c, "cutoffs", 1, error=MomentDataError) for c in cutoffs)
         super().__init__(len(cutoffs))
         self.cutoffs = cutoffs
         self.label = label
@@ -464,9 +461,7 @@ def moment_table_to_json(table: TableMoments) -> str:
 def table_from_provider(provider: MomentProvider, order: int,
                         tolerance: float = TABLE_TOLERANCE) -> TableMoments:
     """Tabulate every moment of weight up to ``order`` from a provider."""
-    order = _index(order, "order")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _index(order, "order", 0)
     positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
     keys = [monomial_at(provider.modes, p) for p in positions.tolist()]
     values = provider.moments_at(positions, np.array([key.pack() for key in keys]))

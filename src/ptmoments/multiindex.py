@@ -32,10 +32,10 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
     that agree above coordinate ``c``, the ``C(rem - t + c, c)`` with a value
     ``>= t`` there come last (the hockey-stick sum of the blocks of each
     value), so the value is the largest ``t`` whose count reaches the indices
-    from ``n`` on.  ``d`` and ``n`` pass the one gate :func:`_positive` in
-    argument order, so the bisection counts with ``math.comb`` unchecked.
+    from ``n`` on.  ``d`` and ``n`` pass the gate :func:`_index` with floor 1
+    in argument order, so the bisection counts with ``math.comb`` unchecked.
     """
-    d, n = _positive(d, "dimension"), _positive(n, "position")
+    d, n = _index(d, "dimension", 1), _index(n, "position", 1)
     hi = 1
     while math.comb(hi + d, d) < n:
         hi *= 2
@@ -58,27 +58,24 @@ def _first_true(stop: int, holds) -> int:
     return bisect.bisect_left(range(stop), True, key=holds)
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int; a float or other non-integer raises TypeError naming it."""
+def _index(value, what: str, low: int | None = None, count: str | None = None,
+           error: type[Exception] = ValueError) -> int:
+    """``value`` as an int, the one integer gate: a non-integer raises TypeError naming
+    ``what``; below ``low`` it raises ``error`` "``count`` or ``what`` must be >= ``low``"."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{what} must be integers, got {value!r}") from None
-
-
-def _positive(value, what: str, count: str | None = None) -> int:
-    """``value`` by :func:`_index`; below 1 it raises "``count`` or ``what`` must be >= 1"."""
-    value = _index(value, what)
-    if value < 1:
-        raise ValueError(f"{count or what} must be >= 1")
+    if low is not None and value < low:
+        raise error(f"{count or what} must be >= {low}")
     return value
 
 
 def count_up_to_weight(d: int, w: int) -> int:
     """Number of ``d``-dimensional multi-indices with weight <= ``w``.
 
-    Checks its inputs with :func:`_index`; past the one gate :func:`_positive`,
-    ``math.comb(w + d, d)`` counts directly (0 at ``w = -1``).
+    Reads its inputs with :func:`_index` and no floor: a weight below 0 counts
+    none, and otherwise ``math.comb(w + d, d)`` counts directly.
     """
     d, w = _index(d, "dimension"), _index(w, "weight")
     if w < 0:
@@ -101,13 +98,10 @@ class MonomialIndex:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple([(_index(k, "exponents"), _index(l, "exponents")) for k, l in self.pairs])
+        pairs = tuple([(_index(k, "exponents", 0), _index(l, "exponents", 0))
+                       for k, l in self.pairs])
+        _index(len(pairs), "modes", 1, "mode count")
         object.__setattr__(self, "pairs", pairs)
-        if len(pairs) < 1:
-            raise ValueError("monomial needs at least one mode")
-        for k, l in pairs:
-            if k < 0 or l < 0:
-                raise ValueError(f"exponents must be nonnegative: {pairs}")
 
     @property
     def modes(self) -> int:
@@ -147,7 +141,7 @@ class MonomialIndex:
         tokens accumulate.
         """
         if modes is not None:
-            modes = _positive(modes, "modes", "mode count")
+            modes = _index(modes, "modes", 1, "mode count")
         tokens = text.split()
         if tokens == ["1"] or not tokens:
             if modes is None:
@@ -188,7 +182,7 @@ class MonomialIndex:
 
 def monomial_at(modes: int, position: int) -> MonomialIndex:
     """Monomial at a 1-based position of the ordered moment sequence."""
-    modes = _positive(modes, "modes", "mode count")
+    modes = _index(modes, "modes", 1, "mode count")
     return MonomialIndex.unpack(nth_multiindex(2 * modes, position))
 
 

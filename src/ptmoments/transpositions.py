@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .multiindex import _index, _positive
+from .multiindex import _index
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class TranspositionSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _positive(self.modes, "modes", "mode count"))
+        object.__setattr__(self, "modes", _index(self.modes, "modes", 1, "mode count"))
         object.__setattr__(self, "members", frozenset(_index(m, "members") for m in self.members))
         if not self.members <= set(range(1, self.modes + 1)):
             raise ValueError(f"members {sorted(self.members)} not within 1..{self.modes}")
@@ -68,9 +68,7 @@ def canonical_bipartitions(n: int) -> list[TranspositionSet]:
     Representatives are the nonempty subsets of ``{1..n-1}``; there are
     ``2^(n-1) - 1`` of them, ordered by size then lexicographically.
     """
-    n = _index(n, "modes")
-    if n < 2:
-        raise ValueError("bipartitions need at least two modes")
+    n = _index(n, "modes", 2, "mode count")
     out = []
     for size in range(1, n):
         for combo in combinations(range(1, n), size):

@@ -26,8 +26,9 @@ from ptmoments import (
     nth_multiindex,
     position_of,
 )
-from ptmoments.moments import MomentProvider
+from ptmoments.moments import FockStateMoments, MomentProvider
 from ptmoments.multiindex import binomial_table, packed_positions
+from ptmoments.operator_algebra import normal_order_single_mode
 
 
 def weight(u) -> int:
@@ -285,12 +286,16 @@ class TestMonomialIndex:
     (lambda: MonomialIndex.parse("a1", 0), "mode count must be >= 1"),
     (lambda: MonomialIndex.parse("1", -1), "mode count must be >= 1"),
     (lambda: MonomialIndex.unpack((1, 2, 3)), "packed multi-index must have even dimension"),
-    (lambda: MonomialIndex(()), "monomial needs at least one mode"),
+    (lambda: MonomialIndex(()), "mode count must be >= 1"),
     (lambda: monomial_at(0, 1), "mode count must be >= 1"),
     (lambda: nth_multiindex(0, 5), "dimension must be >= 1"),
+    (lambda: MonomialIndex(((0, -1),)), "exponents must be >= 0"),
+    (lambda: normal_order_single_mode(0, -2, 0, 0), "exponents must be >= 0"),
+    (lambda: canonical_bipartitions(1), "mode count must be >= 2"),
 ], ids=["mode-zero", "identity-without-modes", "no-modes-parse", "no-modes-identity",
         "odd-packing", "no-modes", "no-modes-at",
-        "dimension-zero"])
+        "dimension-zero", "negative-exponent", "negative-expansion-exponent",
+        "one-mode-bipartitions"])
 def test_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -349,8 +354,9 @@ def _scan(**sizes):
     return eigen_negativity_scan(TmsvMoments(0.6), (2,), **sizes).as_dict()
 
 
-# Every count or bound that must be an integer of at least 1, as a call of
-# that one input: the name a float is refused under, and the ">= 1" message.
+# Every integer input whose floor is 1, as a call of that one input: the name
+# a float is refused under, and the ">= 1" message.  Inputs with another floor
+# are rows of test_refusals_name_their_reason.
 ONE_GATE = {
     "parse-modes": (lambda v: MonomialIndex.parse("a1", v), "modes", "mode count"),
     "monomial-at-modes": (lambda v: monomial_at(v, 2), "modes", "mode count"),
@@ -363,6 +369,8 @@ ONE_GATE = {
                           "max_minor_size", "max_minor_size"),
     "scan-order": (lambda v: _scan(max_order=v), "max_order", "max_order"),
     "scan-minor-size": (lambda v: _scan(max_minor_size=v), "max_minor_size", "max_minor_size"),
+    "selection-positions": (lambda v: Selection((v,)).positions, "positions", "positions"),
+    "fock-cutoffs": (lambda v: FockStateMoments(np.ones(1), v).cutoffs, "cutoffs", "cutoffs"),
 }
 
 

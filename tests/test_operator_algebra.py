@@ -74,7 +74,7 @@ class TestNormalOrderSingleMode:
             normal_order_single_mode(0, 9, 9, 0)
 
     def test_negative_exponent_refused(self):
-        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+        with pytest.raises(ValueError, match="^exponents must be >= 0$"):
             normal_order_single_mode(-1, 0, 0, 0)
 
 

@@ -21,6 +21,8 @@ prints the same lines.  The records are:
 * for seeds 1-3, the three ``large_cuts`` commands (W states at 4 modes order
   3, 5 modes with noise, 6 modes);
 * the default ``figure1``, and ``certify --state tmsv`` at r = 5, 10, 15, 20;
+* ``moments-gen`` at order 4 and ``certify`` on a noisy 4-mode W state with
+  unequal complex amplitudes;
 * refusals: overflowing amplitudes, ``--max-minor-size 0``, a missing table
   file and NaN in parameters and in a table;
 * ``index nth`` and ``index of``, a position past 10^20 included, ``--help`` of
@@ -155,6 +157,12 @@ def process_records(runner: Runner, checkout: Path) -> list:
     records += [(f"certify:tmsv:r={r}",
                  partial(runner.cli, ["certify", "--state", "tmsv", "--r", str(r)]))
                 for r in (5, 10, 15, 20)]
+    w_complex = ["--state", "wstate", "--alpha=0.3+0.2i,-0.1+0.4i,0.5,0.2-0.3i",
+                 "--nbar", "0,0.02,0.01,0"]
+    records += [
+        ("moments-gen:w_complex", partial(runner.cli, ["moments-gen", *w_complex, "--order", "4"])),
+        ("certify:w_complex", partial(runner.cli, ["certify", *w_complex])),
+    ]
 
     nan_table = runner.tmp / "nan.json"
     doc = json.loads((runner.tmp / "seed1-tmsv.json").read_text(encoding="utf-8"))
