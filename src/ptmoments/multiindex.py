@@ -74,10 +74,10 @@ def _index(value, what: str, low: int | None = None, count: str | None = None,
 def count_up_to_weight(d: int, w: int) -> int:
     """Number of ``d``-dimensional multi-indices with weight <= ``w``.
 
-    Reads its inputs with :func:`_index` and no floor: a weight below 0 counts
-    none, and otherwise ``math.comb(w + d, d)`` counts directly.
+    Reads its inputs with :func:`_index`, ``d`` with floor 0 and ``w`` with none: a
+    weight below 0 counts none, and otherwise ``math.comb(w + d, d)`` counts directly.
     """
-    d, w = _index(d, "dimension"), _index(w, "weight")
+    d, w = _index(d, "dimension", 0), _index(w, "weight")
     if w < 0:
         return 0
     return math.comb(w + d, d)

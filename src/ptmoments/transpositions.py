@@ -96,9 +96,6 @@ class Decomposition:
         if seen != set(range(1, self.modes + 1)):
             raise ValueError(f"parts must cover 1..{self.modes}")
 
-    def sort_key(self):
-        return (len(self.parts), tuple(tuple(sorted(p)) for p in self.parts))
-
     def __str__(self) -> str:
         return "{" + "|".join(",".join(str(i) for i in sorted(p)) for p in self.parts) + "}"
 
@@ -121,22 +118,23 @@ def bipartitions_coarsening(pi: Decomposition) -> list[TranspositionSet]:
 
 
 def all_decompositions(n: int) -> list[Decomposition]:
-    """Every decomposition of ``1..n`` with at least two parts."""
-    n = _index(n, "modes")
+    """Every decomposition of ``1..n`` with at least two parts, in report order: by
+    part count, then by the sorted tuples of the parts taken by least member."""
+    n = _index(n, "modes", 2, "mode count")
+    return [Decomposition(n, parts) for count in range(2, n + 1)
+            for parts in _splits(tuple(range(1, n + 1)), count)]
 
-    def partitions(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield [[first]] + part
 
-    out = [
-        Decomposition(n, tuple(frozenset(p) for p in parts))
-        for parts in partitions(list(range(1, n + 1)))
-        if len(parts) >= 2
-    ]
-    return sorted(out, key=Decomposition.sort_key)
+def _splits(items: tuple[int, ...], count: int, part=None, start: int = 1):
+    """The splits of the sorted ``items`` into ``count`` parts, in report order, whose
+    first part is ``part`` (``items[:1]`` by default) or grows from it by items from
+    ``start`` on, depth first, while each later part keeps an item."""
+    if count == 1:
+        yield (items,)
+        return
+    part = part or items[:1]
+    for tail in _splits(tuple(x for x in items if x not in part), count - 1):
+        yield (part,) + tail
+    if len(part) <= len(items) - count:
+        for i in range(start, len(items)):
+            yield from _splits(items, count, part + (items[i],), i + 1)

@@ -37,11 +37,14 @@ from ptmoments import (
     eigen_negativity_scan,
     four_mode_pair_groups,
     load_moment_table,
+    moment_table_to_json,
     monomial_at,
     named_minor,
     position_of,
+    principal_minor,
     sweep,
     sweep_to_csv,
+    table_from_provider,
 )
 from ptmoments import test_bipartition as probe_bipartition
 from ptmoments.operator_algebra import plan_for
@@ -156,6 +159,27 @@ class TestBipartition:
         # Refused by mode count whether or not the members fit the state's modes.
         with pytest.raises(ValueError, match="^cut over 6 modes given for 4 modes$"):
             probe_bipartition(wstate(0.3), TranspositionSet.of(6, member))
+
+    @pytest.mark.parametrize("strategy", ["eigen-scan", "named-minors", "both"])
+    @pytest.mark.parametrize("state, order", [
+        (lambda: wstate(0.3), 2), (lambda: wstate(0.3), 3),
+        (lambda: wstate(0.3, 0.01), 2), (lambda: wstate(0.3, 0.01), 3),
+        (lambda: TmsvMoments(0.6), 2), (lambda: TmsvMoments(5.0), 2),
+        # the table `moments-gen --order 4 --tol 1e-3` writes for the noisy W state
+        (lambda: load_moment_table(moment_table_to_json(
+            table_from_provider(wstate(0.3, 0.01), 4, tolerance=1e-3))), 2),
+    ], ids=["w-2", "w-3", "w-noisy-2", "w-noisy-3", "tmsv-0.6", "tmsv-5", "w-table-tol"])
+    def test_witnesses_are_one_minimal(self, state, order, strategy):
+        # Every reported witness is shrunk: no minor one row smaller is negative.
+        provider, budget = state(), SearchBudget(max_order=order, strategy=strategy)
+        for cut in canonical_bipartitions(provider.modes):
+            witness = probe_bipartition(provider, cut, budget).witness
+            if witness is None or len(witness) == 1:
+                continue
+            rows = witness.positions
+            for drop in range(len(rows)):
+                smaller = Selection(rows[:drop] + rows[drop + 1:])
+                assert not principal_minor(provider, cut, smaller).negative, (cut, rows, drop)
 
     def test_as_dict(self):
         doc = probe_bipartition(TmsvMoments(0.5), (1,)).as_dict()

@@ -33,6 +33,7 @@ from ptmoments import (
     eigen_negativity_scan,
     entry_expression_pt,
     load_moment_table,
+    moment_table_to_json,
     monomial_at,
     named_minor,
     position_of,
@@ -166,6 +167,23 @@ class TestBuildMatrix:
         else:
             with pytest.raises(MomentDataError, match=r"by 1\.000e-02 \(> 0\.002\)$"):
                 build_matrix(table, None, Selection.leading(3))
+
+    def test_partners_within_tolerance_give_a_hermitian_matrix(self):
+        # Both partners of every moment are in the JSON, each moved by up to
+        # 0.3 of the tolerance in its real and imaginary part, so they differ;
+        # the assembled matrix is still exactly Hermitian on every cut.
+        params = WStateParams.symmetric(4, 0.3, 0.01)
+        doc = json.loads(moment_table_to_json(
+            table_from_provider(WStateMoments(params), 4, tolerance=1e-3)))
+        rng = np.random.default_rng(5)
+        for entry in doc["entries"]:
+            entry["re"] += 3e-4 * rng.uniform(-1.0, 1.0)
+            entry["im"] += 3e-4 * rng.uniform(-1.0, 1.0)
+        table = load_moment_table(json.dumps(doc))
+        for cut in canonical_bipartitions(4):
+            matrix = build_matrix(table, cut, Selection.up_to_weight(4, 2))
+            assert matrix.hermiticity_residual > 0
+            assert np.array_equal(matrix.values, matrix.values.conj().T), cut
 
     def test_missing_moments_aggregated(self):
         prov = load_moment_table(

@@ -292,10 +292,12 @@ class TestMonomialIndex:
     (lambda: MonomialIndex(((0, -1),)), "exponents must be >= 0"),
     (lambda: normal_order_single_mode(0, -2, 0, 0), "exponents must be >= 0"),
     (lambda: canonical_bipartitions(1), "mode count must be >= 2"),
+    (lambda: count_up_to_weight(-1, 0), "dimension must be >= 0"),
+    (lambda: all_decompositions(1), "mode count must be >= 2"),
 ], ids=["mode-zero", "identity-without-modes", "no-modes-parse", "no-modes-identity",
         "odd-packing", "no-modes", "no-modes-at",
         "dimension-zero", "negative-exponent", "negative-expansion-exponent",
-        "one-mode-bipartitions"])
+        "one-mode-bipartitions", "negative-dimension-count", "one-mode-decompositions"])
 def test_refusals_name_their_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -136,7 +136,8 @@ class TestDecomposition:
         (lambda: Decomposition(2, ()), "parts must be nonempty"),
         (lambda: bipartitions_coarsening(decomposition(2, (1, 2))),
          "decomposition must have at least two parts"),
-    ], ids=["empty-part", "no-parts", "one-part"])
+        (lambda: all_decompositions(0), "mode count must be >= 2"),
+    ], ids=["empty-part", "no-parts", "one-part", "no-modes"])
     def test_refusals_name_their_reason(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -146,6 +147,37 @@ class TestDecomposition:
         assert len(all_decompositions(3)) == 4
         assert len(all_decompositions(4)) == 14
         assert len(all_decompositions(5)) == 51
+
+    @pytest.mark.parametrize("modes", range(2, 9))
+    def test_generated_in_report_order(self, modes):
+        # Report order: part count, then the sorted part tuples taken by least
+        # member; the oracle is every restricted growth string, sorted.
+        expected = sorted(
+            (len(parts), parts) for parts in map(_parts_of_growth, _growth_strings(modes))
+            if len(parts) >= 2
+        )
+        got = all_decompositions(modes)
+        assert type(got) is list and len(got) == len(expected)
+        for d, (_, parts) in zip(got, expected):
+            assert d.parts == tuple(frozenset(p) for p in parts)
+            assert str(d) == "{" + "|".join(",".join(map(str, p)) for p in parts) + "}"
+
+
+def _growth_strings(modes):
+    """Restricted growth strings of length ``modes``: each entry at most one above
+    the largest before it, the first 0; one per set partition."""
+    strings = [(0,)]
+    for _ in range(modes - 1):
+        strings = [s + (b,) for s in strings for b in range(max(s) + 2)]
+    return strings
+
+
+def _parts_of_growth(string):
+    """The sorted part tuples a growth string labels, ordered by least member."""
+    parts = [[] for _ in range(max(string) + 1)]
+    for mode, block in enumerate(string, start=1):
+        parts[block].append(mode)
+    return tuple(tuple(p) for p in parts)
 
 
 class TestCoarsening:
