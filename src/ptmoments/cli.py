@@ -41,6 +41,7 @@ from .moments import (
     table_from_provider,
 )
 from .multiindex import MonomialIndex, _index, nth_multiindex, position_of
+from .transpositions import _refuse_decompositions_above_cap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -306,6 +307,8 @@ def _cmd_certify(args) -> int:
         table = provider = _table_provider(args)
     else:
         table, provider = None, _provider_from_args(args)
+    # The report lists every excluded decomposition, so too many are refused before the first cut.
+    _refuse_decompositions_above_cap(provider.modes)
     report = certify_full(provider, _budget_from_args(args, table))
     _write_out(args, json.dumps(report.as_dict(), indent=2) + "\n")
     return EXIT_OK if report.certificate else EXIT_NO_CERTIFICATE

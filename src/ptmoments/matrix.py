@@ -26,9 +26,8 @@ from .transpositions import TranspositionSet, _as_transposition
 #: relative scale for calling a determinant negative
 DET_TOL_SCALE = 1e-10
 
-#: largest entry-wise Hermiticity defect accepted from moment data, plus
-#: HERMITICITY_ULPS rounding units of the largest entry's summed |terms|
-HERMITICITY_TOL = 1e-6
+#: rounding units of the largest entry's summed |terms| that the Hermiticity
+#: gate allows on top of the largest entry's uncertainty, and nothing absolute
 HERMITICITY_ULPS = 64
 
 #: ceiling on the full scan matrix dimension
@@ -158,9 +157,9 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     as (m + m†)/2, and unresolved moments are reported all at once.  Each
     moment is taken to lie within the provider's ``tolerance`` of the state's
     own (zero for analytic providers), so an entry lies within that times its
-    coefficient sum: the matrix's ``uncertainty``, whose largest entry the
-    Hermiticity gate allows, with ``HERMITICITY_ULPS`` of rounding, and which
-    :func:`determinant` weighs block by block.
+    coefficient sum: the matrix's ``uncertainty``, which :func:`determinant`
+    weighs block by block.  The Hermiticity gate allows its largest entry plus
+    ``HERMITICITY_ULPS`` rounding units of the largest summed |terms|, nothing more.
     """
     modes = provider.modes
     transposed = _as_transposition(transposed, modes)
@@ -181,9 +180,8 @@ def build_matrix(provider, transposed, selection: Selection) -> MomentMatrix:
     uncertainty = provider.tolerance * np.bincount(
         plan.entry, weights=plan.coefficients, minlength=n * n).reshape(n, n)
     # Partners summed from large terms may also differ by their rounding.
-    magnitude = np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n)
-    allowed = (HERMITICITY_TOL + float(uncertainty.max())
-               + HERMITICITY_ULPS * np.finfo(float).eps * float(magnitude.max()))
+    magnitude = float(np.bincount(plan.entry, weights=np.abs(terms), minlength=n * n).max())
+    allowed = float(uncertainty.max()) + HERMITICITY_ULPS * np.finfo(float).eps * magnitude
     if residual > allowed:
         raise MomentDataError(
             f"moment data breaks Hermiticity by {residual:.3e} (> {allowed:.3g})"
@@ -214,7 +212,7 @@ def determinant(matrix: MomentMatrix) -> MinorResult:
         raise NumericError(f"a minor of {matrix.provenance} overflows: det {det}, "
                            f"threshold {threshold}")
     imag_residual = abs(det.imag)
-    if imag_residual > max(1e-6 * max(1.0, abs(det.real)), threshold):
+    if imag_residual > max(1e-6 * abs(det.real), threshold):
         raise NumericError(
             f"determinant imaginary part {det.imag:.3e} too large for a Hermitian matrix"
         )

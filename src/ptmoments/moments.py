@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import MomentDataError, NumericError, TruncationError, UnresolvedMomentsError
 from .multiindex import (
-    MonomialIndex, _index, count_up_to_weight, monomial_at, position_of,
+    MonomialIndex, _enumeration, _index, count_up_to_weight, monomial_at, position_of,
 )
 
 #: default consistency tolerance a moment table records (identity moment, Hermitian partners)
@@ -462,7 +462,8 @@ def table_from_provider(provider: MomentProvider, order: int,
                         tolerance: float = TABLE_TOLERANCE) -> TableMoments:
     """Tabulate every moment of weight up to ``order`` from a provider."""
     order = _index(order, "order", 0)
-    positions = np.arange(1, count_up_to_weight(2 * provider.modes, order) + 1)
+    count = _enumeration(count_up_to_weight(2 * provider.modes, order), "moments")
+    positions = np.arange(1, count + 1)
     keys = [monomial_at(provider.modes, p) for p in positions.tolist()]
     values = provider.moments_at(positions, np.array([key.pack() for key in keys]))
     return TableMoments(provider.modes, dict(zip(keys, values.tolist())), tolerance)

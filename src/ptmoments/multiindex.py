@@ -20,7 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 MultiIndex = tuple[int, ...]
+
+#: most cuts, decompositions or moments one call may enumerate
+ENUMERATION_CAP = 200_000
 
 
 def nth_multiindex(d: int, n: int) -> MultiIndex:
@@ -69,6 +74,15 @@ def _index(value, what: str, low: int | None = None, count: str | None = None,
     if low is not None and value < low:
         raise error(f"{count or what} must be >= {low}")
     return value
+
+
+def _enumeration(count: int, what: str) -> int:
+    """``count``, refused with ResourceLimitError before any of the ``what`` is made
+    when it exceeds ``ENUMERATION_CAP``; a count too long to print is named by its bound."""
+    if count > ENUMERATION_CAP:
+        shown = count if count < 2 ** 64 else "more than 2^64"
+        raise ResourceLimitError(f"would enumerate {shown} {what}, above the cap {ENUMERATION_CAP}")
+    return count
 
 
 def count_up_to_weight(d: int, w: int) -> int:

@@ -15,9 +15,9 @@ count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .multiindex import _index
+from .multiindex import _enumeration, _index
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ def canonical_bipartitions(n: int) -> list[TranspositionSet]:
     ``2^(n-1) - 1`` of them, ordered by size then lexicographically.
     """
     n = _index(n, "modes", 2, "mode count")
+    _enumeration(2 ** (n - 1) - 1, "cuts")
     out = []
     for size in range(1, n):
         for combo in combinations(range(1, n), size):
@@ -121,8 +122,21 @@ def all_decompositions(n: int) -> list[Decomposition]:
     """Every decomposition of ``1..n`` with at least two parts, in report order: by
     part count, then by the sorted tuples of the parts taken by least member."""
     n = _index(n, "modes", 2, "mode count")
+    _refuse_decompositions_above_cap(n)
     return [Decomposition(n, parts) for count in range(2, n + 1)
             for parts in _splits(tuple(range(1, n + 1)), count)]
+
+
+def _refuse_decompositions_above_cap(n: int) -> None:
+    """Refuse the Bell(n) - 1 decompositions of ``1..n`` with at least two parts above
+    ``ENUMERATION_CAP``.  Each cut is one with two parts, so the cut count, cheap at any
+    ``n``, goes first; Bell(n) is the last entry of the Bell triangle's row n, each row
+    the running sum of the row before, started at that row's last entry."""
+    _enumeration(2 ** (n - 1) - 1, "cuts")
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    _enumeration(row[-1] - 1, "decompositions")
 
 
 def _splits(items: tuple[int, ...], count: int, part=None, start: int = 1):

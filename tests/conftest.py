@@ -6,11 +6,15 @@ operator products), deliberately avoiding the package's normal-ordering
 algebra and its finite Gaussian and Wick sums so the two paths are
 independent.  The approximations those sums replaced, a Gauss-Hermite rule
 for one noisy mode factor and the Schmidt series of the two-mode squeezed
-vacuum, are kept here as references.
+vacuum, are kept here as references.  The exact re-judge of a witness
+(:func:`exact_witness_margin`) ranks monomials, normally orders entries and
+takes determinants on its own, in rational arithmetic.
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -351,3 +355,108 @@ def _batched(iterable, size):
         if not batch:
             return
         yield batch
+
+
+@functools.lru_cache(maxsize=None)
+def gralex_monomials(modes, max_weight):
+    """Monomials of weight <= ``max_weight`` as per-mode (k, l) pairs, position p at
+    index p - 1: by weight, then by the reversed packed tuple (l1, k1, ..., ln, kn)."""
+    packed = []
+    for weight in range(max_weight + 1):
+        for combo in itertools.combinations_with_replacement(range(2 * modes), weight):
+            packed.append(tuple(combo.count(c) for c in range(2 * modes)))
+    packed.sort(key=lambda u: (sum(u), u[::-1]))
+    return tuple(tuple((u[2 * m + 1], u[2 * m]) for m in range(modes)) for u in packed)
+
+
+def pt_entry_terms(row, col, members):
+    """{moment key: coefficient} of <(row)^dagger (col)> on the state transposed on ``members``.
+
+    Mode m's factor ad^l_r a^k_r ad^k_c a^l_c is normally ordered by
+    a^x ad^y = sum_j j! C(x, j) C(y, j) ad^(y-j) a^(x-j); transposing mode m
+    swaps the creation and annihilation exponents of each of its terms.
+    """
+    per_mode = []
+    for m, ((kr, lr), (kc, lc)) in enumerate(zip(row, col), start=1):
+        terms = []
+        for j in range(min(kr, kc) + 1):
+            pair = (lr + kc - j, kr - j + lc)
+            terms.append((pair[::-1] if m in members else pair,
+                          math.factorial(j) * math.comb(kr, j) * math.comb(kc, j)))
+        per_mode.append(terms)
+    out = {}
+    for combo in itertools.product(*per_mode):
+        key = tuple(pair for pair, _ in combo)
+        out[key] = out.get(key, 0) + math.prod(c for _, c in combo)
+    return out
+
+
+def _sqrt_up(x):
+    """An upper bound on sqrt(x) for a Fraction x >= 0, exact to about 127 bits."""
+    bits = 128 + x.denominator.bit_length() // 2
+    n = -(-(x.numerator << (2 * bits)) // x.denominator)
+    r = math.isqrt(n)
+    return Fraction(r + (r * r < n), 1 << bits)
+
+
+def _exact_det(m):
+    """Leibniz determinant of a square matrix of (re, im) Fraction pairs."""
+    total_re = total_im = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        re, im = Fraction(-1 if inversions % 2 else 1), Fraction(0)
+        for i, j in enumerate(perm):
+            a, b = m[i][j]
+            re, im = re * a - im * b, re * b + im * a
+        total_re += re
+        total_im += im
+    return total_re, total_im
+
+
+def exact_witness_margin(doc, members, positions):
+    """Exact (det, bound) of a witness minor rebuilt from a moment table's JSON ``doc``.
+
+    Each table value is read as the binary fraction it is, a key missing from the
+    table as its partner's conjugate.  Every entry of rows and columns
+    ``positions`` under transposition of ``members`` is summed from its terms and
+    the block Hermitized, all in exact rational arithmetic, and its determinant
+    taken by Leibniz's formula.  The table lets each moment lie within its
+    ``tolerance`` of the state's own, so an entry lies within tolerance times its
+    coefficient sum; by Hadamard's inequality, row by row, the state's own
+    determinant then lies within ``bound`` = prod(|m_i| + |u_i|) - prod |m_i| of
+    ``det``, square roots rounded up.  The witness holds for every state the
+    table admits exactly when det + bound < 0.
+    """
+    table = {tuple(zip(e["k"], e["l"])): (e["re"], e.get("im", 0.0)) for e in doc["entries"]}
+
+    def moment(key):
+        if key in table:
+            re, im = table[key]
+        else:
+            re, im = table[tuple((l, k) for k, l in key)]
+            im = -im
+        return Fraction(re), Fraction(im)
+
+    tolerance = Fraction(doc["tolerance"])
+    keys = gralex_monomials(doc["modes"], max(sum(map(sum, key)) for key in table))
+    rows = [keys[p - 1] for p in positions]
+    members = set(members)
+    raw, spread = [], []
+    for row in rows:
+        raw.append([])
+        spread.append([])
+        for col in rows:
+            terms = [(c, moment(key)) for key, c in pt_entry_terms(row, col, members).items()]
+            raw[-1].append((sum(c * re for c, (re, _) in terms), sum(c * im for c, (_, im) in terms)))
+            spread[-1].append(tolerance * sum(c for c, _ in terms))
+    n = len(rows)
+    half = Fraction(1, 2)
+    hermitized = [[((raw[i][j][0] + raw[j][i][0]) * half, (raw[i][j][1] - raw[j][i][1]) * half)
+                   for j in range(n)] for i in range(n)]
+    det, imag = _exact_det(hermitized)
+    assert imag == 0, "a Hermitian block has a real determinant"
+    norms = [_sqrt_up(sum(re * re + im * im for re, im in row)) for row in hermitized]
+    widths = [_sqrt_up(sum(((spread[i][j] + spread[j][i]) * half) ** 2 for j in range(n)))
+              for i in range(n)]
+    bound = math.prod(a + b for a, b in zip(norms, widths)) - math.prod(norms)
+    return det, bound

@@ -23,6 +23,8 @@ from ptmoments import (
     Decomposition,
     FockStateMoments,
     MinorResult,
+    MomentDataError,
+    MonomialIndex,
     SearchBudget,
     Selection,
     TmsvMoments,
@@ -211,6 +213,16 @@ class TestCertifyFull:
         assert {str(d) for d in report.excluded} == {
             str(d) for d in all_decompositions(4)
         }
+
+    def test_shifted_moment_refused_not_certified(self):
+        class Shifted(WStateMoments):
+            def _compute(self, key):
+                # <a1> moved by 4e-7i, its partner <ad1> not: no longer a state's moments.
+                shift = 4e-7j if key == MonomialIndex(((0, 1), (0, 0))) else 0.0
+                return super()._compute(key) + shift
+
+        with pytest.raises(MomentDataError, match="breaks Hermiticity"):
+            certify_full(Shifted(WStateParams.symmetric(2, 0.05, 0.0)))
 
     def test_vacuum_refused(self):
         report = certify_full(CoherentProductMoments((0.0,) * 4))

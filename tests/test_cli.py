@@ -15,11 +15,14 @@ import io
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
+from conftest import exact_witness_margin
 from ptmoments import all_decompositions, load_moment_table
+from ptmoments.certify import STRATEGIES
 from ptmoments.cli import (
     EXIT_IO,
     EXIT_MISSING_MOMENTS,
@@ -238,14 +241,29 @@ class TestMomentsGen:
         assert "coherent(1e+200,1)" in err
 
     def test_order_too_large_to_allocate_refused(self):
-        # numpy refuses the 35.5 PiB position array before allocating any of it.
+        # The enumeration cap refuses the 35.5 PiB position array before numpy is asked for it.
         code, out, err = invoke(
             ["moments-gen", "--state", "coherent", "--gamma", "0.5", "--order", "100000000"]
         )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert_one_error_line(err)
-        assert "Unable to allocate" in err
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: would enumerate 5000000150000001 moments, above the cap 200000\n"
+
+    def test_order_above_the_enumeration_cap_refused(self, monkeypatch):
+        def made(*args, **kwargs):
+            raise AssertionError("a position array was made before the refusal")
+        monkeypatch.setattr(np, "arange", made)
+        code, out, err = invoke(["moments-gen", "--state", "wstate", "--alpha", "0.3",
+                                 "--modes", "4", "--order", "40"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: would enumerate 377348994 moments, above the cap 200000\n"
+
+    def test_allocation_failure_is_a_usage_error(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 35.5 PiB for an array")
+        monkeypatch.setattr("ptmoments.cli.table_from_provider", allocate)
+        code, out, err = invoke(["moments-gen", "--state", "coherent", "--gamma", "0.5"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: Unable to allocate 35.5 PiB for an array\n"
 
     def test_negative_order_refused(self):
         # Below order 0 not even the identity entry a table needs would be written.
@@ -477,6 +495,20 @@ class TestScan:
         assert code == EXIT_OK, err
         assert len(json.loads(out)["excluded_decompositions"]) == 14
         assert calls == [4]
+
+    @pytest.mark.parametrize("modes, code, message", [
+        # 262,143 cuts are refused before the first; 11 modes have 1,023 cuts,
+        # under the cap, and scan lists no decompositions, so it reaches the missing keys.
+        (19, EXIT_USAGE, "error: would enumerate 262143 cuts, above the cap 200000\n"),
+        (11, EXIT_MISSING_MOMENTS, "error: moments unresolved for keys: "),
+    ])
+    def test_cut_count_gated_not_decompositions(self, tmp_path, modes, code, message):
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"modes": modes, "entries": [
+            {"k": [0] * modes, "l": [0] * modes, "re": 1.0}]}))
+        got, out, err = invoke(["scan", "--moments", str(path)])
+        assert (got, out) == (code, "")
+        assert err.startswith(message)
 
     def test_report_written_to_file(self, tmp_path):
         table = write_table(
@@ -786,6 +818,22 @@ class TestCertify:
         )
         assert (code, out, err) == (EXIT_USAGE, "", "error: --modes must be >= 1\n")
 
+    @pytest.mark.parametrize("modes, count", [
+        (11, "678569 decompositions"),
+        (12, "4213596 decompositions"),
+        (30, "536870911 cuts"),
+    ])
+    def test_enumerations_above_the_cap_refused_before_the_first_cut(self, monkeypatch,
+                                                                     modes, count):
+        # The report would list every excluded decomposition: too many are refused up front.
+        def certify_full(*args):
+            raise AssertionError("a cut was tested before the refusal")
+        monkeypatch.setattr("ptmoments.cli.certify_full", certify_full)
+        code, out, err = invoke(["certify", "--state", "wstate", "--alpha", "0.3",
+                                 "--modes", str(modes)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: would enumerate {count}, above the cap 200000\n"
+
     def test_alpha_broadcast_matches_explicit_list(self):
         single = invoke(["certify", "--state", "wstate", "--alpha", "0.3", "--modes", "4"])
         explicit = invoke(
@@ -1028,3 +1076,56 @@ class TestTopLevelErrors:
         assert out == ""
         assert_one_error_line(err)
         assert err.startswith("error: moment table is not valid JSON: ")
+
+
+def _seeded_table_states(seed=301):
+    """moments-gen flags of the four benchmark table states: W pure and noisy,
+    a coherent product and a two-mode squeezed vacuum, drawn from ``seed``."""
+    rng = random.Random(seed)
+    alpha, nbar = round(rng.uniform(0.25, 0.35), 4), round(rng.uniform(0.005, 0.02), 4)
+    gammas = [f"{rng.uniform(-0.6, 0.6):.3f}{rng.uniform(-0.6, 0.6):+.3f}i" for _ in range(4)]
+    r = round(rng.uniform(0.4, 0.9), 4)
+    return {
+        "w_pure": ["--state", "wstate", "--alpha", "0.3", "--modes", "4"],
+        "w_noisy": ["--state", "wstate", "--alpha", str(alpha), "--modes", "4",
+                    "--nbar", str(nbar)],
+        "coherent": ["--state", "coherent", "--gamma=" + ",".join(gammas)],
+        "tmsv": ["--state", "tmsv", "--r", str(r)],
+    }
+
+
+class TestWitnessesVerifyExactly:
+    """Every NPT witness ``certify`` and ``scan`` print holds for every state the table admits.
+
+    The witness block is rebuilt from the table's JSON in exact arithmetic and
+    judged with the table's tolerance box (``conftest.exact_witness_margin``),
+    independently of the package's algebra and of LAPACK.
+    """
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-3"])
+    @pytest.mark.parametrize("state", ["w_pure", "w_noisy", "coherent", "tmsv"])
+    def test_every_npt_witness_verifies(self, tmp_path, state, tol, order):
+        path = write_table(tmp_path, "table.json", [
+            "moments-gen", *_seeded_table_states()[state], "--order", str(2 * order),
+            "--tol", tol])
+        doc = json.loads(path.read_text())
+        witnesses = set()
+        for strategy in STRATEGIES:
+            budget = ["--moments", str(path), "--order", str(order), "--strategy", strategy]
+            code, out, err = invoke(["certify", *budget])
+            assert code in (EXIT_OK, EXIT_NO_CERTIFICATE), err
+            found = [cut["minor"] for cut in json.loads(out)["bipartitions"] if cut["minor"]]
+            code, out, err = invoke(["scan", *budget])
+            assert code in (EXIT_OK, EXIT_NO_NEGATIVITY), err
+            assert json.loads(out)["findings"] == found
+            witnesses |= {(tuple(minor["I"]), tuple(minor["R"]), minor["det"]) for minor in found}
+        for members, positions, printed in sorted(witnesses):
+            det, bound = exact_witness_margin(doc, members, positions)
+            assert det + bound < 0, (members, positions, float(det), float(bound))
+            assert float(det) == pytest.approx(printed, rel=1e-9)
+            # Untransposed, the same rows are a state's own minor: never refuted.
+            det, bound = exact_witness_margin(doc, (), positions)
+            assert det + bound >= 0, (positions, float(det), float(bound))
+        if state in ("w_pure", "tmsv"):
+            assert witnesses

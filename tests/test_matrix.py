@@ -154,6 +154,15 @@ class TestBuildMatrix:
         with pytest.raises(MomentDataError, match="Hermiticity"):
             build_matrix(Broken(1), None, Selection.leading(3))
 
+    def test_exact_data_has_no_absolute_allowance(self):
+        class SlightlyBroken(MomentProvider):
+            def _compute(self, key):
+                # <a> and <ad> both 5e-7i break conjugacy by 1e-6, far above rounding.
+                return 5e-7j if key.weight == 1 else 0.5 ** key.weight
+
+        with pytest.raises(MomentDataError, match=r"breaks Hermiticity by 1\.000e-06 \(> "):
+            build_matrix(SlightlyBroken(1), None, Selection.leading(3))
+
     @pytest.mark.parametrize("defect", [1e-4, 1e-2])
     def test_table_defect_judged_by_its_tolerance(self, defect):
         # Entry (ad, ad) is <a ad> = <ad a> + 1, the largest coefficient sum, 2,
@@ -418,6 +427,15 @@ class TestDeterminant:
     def test_complex_determinant_rejected(self):
         with pytest.raises(NumericError, match="imaginary"):
             determinant(self.manual_matrix([[1j, 0.0], [0.0, 1.0]]))
+
+    def test_imaginary_part_judged_relative_to_the_determinant(self):
+        # det 1e-6 + 1e-8i: its imaginary part is 1 % of the real part, far
+        # above rounding, though below 1e-6 in absolute terms.
+        with pytest.raises(NumericError, match=r"imaginary part 1\.000e-08 "):
+            determinant(self.manual_matrix(np.diag([1e-3, 1e-3 * (1 + 0.01j)])))
+        # A bright determinant keeps its relative allowance: 1e-3i on 1e6.
+        bright = determinant(self.manual_matrix(np.diag([1e3, 1e3 * (1 + 1e-9j)])))
+        assert bright.imag_residual == pytest.approx(1e-3)
 
     def test_threshold_scales_with_diagonal(self):
         exact = np.zeros((2, 2))

@@ -26,6 +26,7 @@ from ptmoments import (
     MomentProvider,
     MonomialIndex,
     NumericError,
+    ResourceLimitError,
     Selection,
     TableMoments,
     TmsvMoments,
@@ -659,6 +660,22 @@ class TestMomentTable:
         # Below order 0 not even the identity would be tabulated.
         with pytest.raises(ValueError, match="^order must be >= 0$"):
             table_from_provider(CoherentProductMoments((0.3,)), order=-2)
+
+    def test_table_from_provider_refuses_moments_above_the_cap(self, monkeypatch):
+        # 4 modes to order 4 hold C(12, 4) = 495 moments, and to order 13 C(21, 13) = 203,490.
+        prov = WStateMoments(WStateParams.symmetric(4, 0.3, 0.0))
+        monkeypatch.setattr("ptmoments.multiindex.ENUMERATION_CAP", 495)
+        assert table_from_provider(prov, 4).max_order == 4
+        monkeypatch.setattr("ptmoments.multiindex.ENUMERATION_CAP", 494)
+        with pytest.raises(ResourceLimitError, match="^would enumerate 495 moments, above the cap 494$"):
+            table_from_provider(prov, 4)
+        monkeypatch.undo()
+
+        def made(*args):
+            raise AssertionError("a key was made before the refusal")
+        monkeypatch.setattr("ptmoments.moments.monomial_at", made)
+        with pytest.raises(ResourceLimitError, match="^would enumerate 203490 moments, above the cap 200000$"):
+            table_from_provider(prov, 13)
 
     def test_table_from_provider_order_is_an_integer(self):
         prov = CoherentProductMoments((0.3,))

@@ -1,12 +1,14 @@
 """Mode subsets, canonical bipartitions, and decomposition coarsening."""
 
 import itertools
+import re
 
 import pytest
 
 from conftest import cuts_by_colouring
 from ptmoments import (
     Decomposition,
+    ResourceLimitError,
     TranspositionSet,
     all_decompositions,
     bipartitions_coarsening,
@@ -161,6 +163,52 @@ class TestDecomposition:
         for d, (_, parts) in zip(got, expected):
             assert d.parts == tuple(frozenset(p) for p in parts)
             assert str(d) == "{" + "|".join(",".join(map(str, p)) for p in parts) + "}"
+
+
+class TestEnumerationCap:
+    """Cuts and decompositions are counted and refused above the cap before one is made."""
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def made(*args):
+            raise AssertionError(f"a {name} was made before the refusal")
+        monkeypatch.setattr(f"ptmoments.transpositions.{name}", made)
+
+    @pytest.mark.parametrize("modes", range(3, 9))
+    def test_decomposition_count_is_bell_minus_one(self, monkeypatch, modes):
+        # From 3 modes there are more decompositions than cuts, so a cap one
+        # below the oracle's count passes the cuts and names that count.
+        count = sum(1 for s in _growth_strings(modes) if max(s) >= 1)
+        monkeypatch.setattr("ptmoments.multiindex.ENUMERATION_CAP", count)
+        assert len(all_decompositions(modes)) == count
+        monkeypatch.setattr("ptmoments.multiindex.ENUMERATION_CAP", count - 1)
+        self.forbid(monkeypatch, "Decomposition")
+        with pytest.raises(ResourceLimitError,
+                           match=f"^would enumerate {count} decompositions, above the cap {count - 1}$"):
+            all_decompositions(modes)
+
+    def test_cut_count_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr("ptmoments.multiindex.ENUMERATION_CAP", 7)
+        assert len(canonical_bipartitions(4)) == 7
+        self.forbid(monkeypatch, "TranspositionSet")
+        with pytest.raises(ResourceLimitError, match="^would enumerate 15 cuts, above the cap 7$"):
+            canonical_bipartitions(5)
+
+    @pytest.mark.parametrize("call, count", [
+        (lambda: canonical_bipartitions(19), "262143 cuts"),
+        (lambda: canonical_bipartitions(30), "536870911 cuts"),
+        (lambda: canonical_bipartitions(100_000), "more than 2^64 cuts"),
+        (lambda: all_decompositions(11), "678569 decompositions"),
+        (lambda: all_decompositions(12), "4213596 decompositions"),
+        (lambda: all_decompositions(30), "536870911 cuts"),
+    ], ids=["19-cuts", "30-cuts", "huge-cuts", "11-decompositions", "12-decompositions",
+            "30-decompositions"])
+    def test_declared_cap_refuses_before_any_work(self, monkeypatch, call, count):
+        self.forbid(monkeypatch, "TranspositionSet")
+        self.forbid(monkeypatch, "Decomposition")
+        message = f"would enumerate {count}, above the cap 200000"
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _growth_strings(modes):
