@@ -40,7 +40,7 @@ from .moments import (
     moment_table_to_json,
     table_from_provider,
 )
-from .multiindex import MonomialIndex, _index, nth_multiindex, position_of
+from .multiindex import MonomialIndex, _enumeration, _index, nth_multiindex, position_of
 from .transpositions import _refuse_decompositions_above_cap
 
 EXIT_OK = 0
@@ -210,7 +210,7 @@ def _budget_from_args(args, table=None) -> SearchBudget:
 def _wstate_provider(args):
     alphas, nbars = args.alpha, [0.0] if args.nbar is None else args.nbar
     modes = args.modes if args.modes is not None else max(len(alphas), len(nbars), 2)
-    modes = _index(modes, "--modes", 1)
+    modes = _enumeration(_index(modes, "--modes", 1), "modes")
     if len(alphas) == 1:
         alphas = alphas * modes
     if len(nbars) == 1:

@@ -13,13 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    MomentDataError,
-    NumericError,
-    ResourceLimitError,
-)
+from .errors import MomentDataError, NumericError
 from .moments import _sig12
-from .multiindex import MonomialIndex, _index, count_up_to_weight, position_of
+from .multiindex import MonomialIndex, _enumeration, _index, count_up_to_weight, position_of
 from .operator_algebra import plan_for
 from .transpositions import TranspositionSet, _as_transposition
 
@@ -262,10 +258,7 @@ def eigen_negativity_scan(provider, transposed, max_order: int = 2, *,
     max_order = _index(max_order, "max_order", 1)
     max_minor_size = _index(max_minor_size, "max_minor_size", 1)
     size = count_up_to_weight(2 * provider.modes, max_order)
-    if size > SIZE_CAP:
-        raise ResourceLimitError(
-            f"scan matrix would be {size}x{size}, above the cap {SIZE_CAP}"
-        )
+    _enumeration(size, "scan matrix rows", SIZE_CAP)
     matrix = build_matrix(provider, transposed, Selection.leading(size))
     block, minor = matrix, None
     for order in range(max_order, 0, -1):

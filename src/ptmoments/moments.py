@@ -338,10 +338,10 @@ class TableMoments(MomentProvider):
 
 
 def _json_object(text: str, what: str) -> dict:
-    """``text`` parsed as a JSON object; anything else, nesting too deep included, is refused."""
+    """``text`` parsed as a JSON object; anything else, too deep or an overlong int, is refused."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise MomentDataError(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MomentDataError(f"{what} must be a JSON object")

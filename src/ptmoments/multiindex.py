@@ -12,7 +12,6 @@ on.  Positions are 1-based throughout.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import re
@@ -24,7 +23,7 @@ from .errors import ResourceLimitError
 
 MultiIndex = tuple[int, ...]
 
-#: most cuts, decompositions or moments one call may enumerate
+#: most cuts, decompositions, moments or CLI ``--modes`` one call may enumerate
 ENUMERATION_CAP = 200_000
 
 
@@ -59,8 +58,12 @@ def nth_multiindex(d: int, n: int) -> MultiIndex:
 
 
 def _first_true(stop: int, holds) -> int:
-    """Least ``x`` in ``range(stop)`` where the monotone predicate ``holds``, else ``stop``."""
-    return bisect.bisect_left(range(stop), True, key=holds)
+    """Least ``x`` in ``range(stop)`` where the monotone ``holds``, else ``stop``, for any int."""
+    lo, hi = 0, stop
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+    return lo
 
 
 def _index(value, what: str, low: int | None = None, count: str | None = None,
@@ -76,12 +79,14 @@ def _index(value, what: str, low: int | None = None, count: str | None = None,
     return value
 
 
-def _enumeration(count: int, what: str) -> int:
+def _enumeration(count: int, what: str, cap: int | None = None) -> int:
     """``count``, refused with ResourceLimitError before any of the ``what`` is made
-    when it exceeds ``ENUMERATION_CAP``; a count too long to print is named by its bound."""
-    if count > ENUMERATION_CAP:
+    when it exceeds ``cap`` (``ENUMERATION_CAP`` as it reads at the call when None);
+    a count too long to print is named by its bound.  The one place a size meets a cap."""
+    cap = ENUMERATION_CAP if cap is None else cap
+    if count > cap:
         shown = count if count < 2 ** 64 else "more than 2^64"
-        raise ResourceLimitError(f"would enumerate {shown} {what}, above the cap {ENUMERATION_CAP}")
+        raise ResourceLimitError(f"would enumerate {shown} {what}, above the cap {cap}")
     return count
 
 

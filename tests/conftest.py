@@ -460,3 +460,17 @@ def exact_witness_margin(doc, members, positions):
               for i in range(n)]
     bound = math.prod(a + b for a, b in zip(norms, widths)) - math.prod(norms)
     return det, bound
+
+
+#: a JSON integer past Python's default 4,300-digit limit for int-string conversion
+OVERLONG_INT = "1" + "0" * 5000
+
+
+def int_conversion_error():
+    """Python's own refusal to read ``OVERLONG_INT`` as an int, the plain ValueError
+    (not a JSONDecodeError) that ``json.loads`` raises for it."""
+    try:
+        int(OVERLONG_INT)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("OVERLONG_INT converts to an int")

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import exact_witness_margin
+from conftest import OVERLONG_INT, exact_witness_margin, int_conversion_error
 from ptmoments import all_decompositions, load_moment_table
 from ptmoments.certify import STRATEGIES
 from ptmoments.cli import (
@@ -158,6 +158,15 @@ class TestIndexNth:
         code, out, err = invoke(["index", "nth", "2", "0"])
         assert code == EXIT_USAGE
         assert "position" in err
+
+    def test_position_past_a_machine_word_unranks(self):
+        # The weight of position 10^41 is past 2^63, more than a range() may hold.
+        code, out, err = invoke(["index", "nth", "2", str(10 ** 41)])
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ("(297516113301978307403,149697482197979631878)"
+                       "  ad1^149697482197979631878 a1^297516113301978307403\n")
+        code, out, err = invoke(["index", "of", out.split("  ")[1].strip(), "--modes", "1"])
+        assert (code, out, err) == (EXIT_OK, f"{10 ** 41}\n", "")
 
 
 class TestIndexOf:
@@ -834,6 +843,26 @@ class TestCertify:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: would enumerate {count}, above the cap 200000\n"
 
+    @pytest.mark.parametrize("command", ["certify", "moments-gen"])
+    @pytest.mark.parametrize("amplitudes", [
+        ["--alpha", "0.3,0.3", "--nbar", "0,0"],
+        ["--alpha", "0.3"],
+    ], ids=["lists", "broadcast"])
+    def test_mode_count_above_the_cap_refused_before_lists_are_built(self, command,
+                                                                     amplitudes):
+        # Lists of 10^12 amplitudes cannot be allocated; the "lists" form would
+        # fail on their lengths, so it shows the gate without allocating.
+        code, out, err = invoke([command, "--state", "wstate", *amplitudes,
+                                 "--modes", "1000000000000"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: would enumerate 1000000000000 modes, above the cap 200000\n"
+
+    def test_scan_matrix_too_long_to_print_refused_by_its_bound(self):
+        code, out, err = invoke(["certify", "--state", "coherent", "--gamma", "0.5,0.5",
+                                 "--order", "1" + "0" * 3000])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: would enumerate more than 2^64 scan matrix rows, above the cap 2000\n"
+
     def test_alpha_broadcast_matches_explicit_list(self):
         single = invoke(["certify", "--state", "wstate", "--alpha", "0.3", "--modes", "4"])
         explicit = invoke(
@@ -1067,6 +1096,17 @@ class TestTopLevelErrors:
         code, out, err = invoke(["scan", "--moments", str(path)])
         assert code == EXIT_USAGE
         assert "JSON" in err
+
+    @pytest.mark.parametrize("source, what", [
+        (["scan", "--moments"], "moment table"),
+        (["moments-gen", "--config"], "config"),
+    ], ids=["table", "config"])
+    def test_integer_too_long_to_convert_is_a_data_error(self, tmp_path, source, what):
+        path = tmp_path / "long.json"
+        path.write_text('{"modes": ' + OVERLONG_INT + "}")
+        code, out, err = invoke([*source, str(path)])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {what} is not valid JSON: {int_conversion_error()}\n"
 
     def test_deeply_nested_moment_table_is_data_error(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -655,7 +655,8 @@ class TestEigenScan:
 
     def test_size_cap(self, monkeypatch):
         monkeypatch.setattr("ptmoments.matrix.SIZE_CAP", 10)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError,
+                           match="^would enumerate 15 scan matrix rows, above the cap 10$"):
             eigen_negativity_scan(TmsvMoments(0.5), (1,), max_order=2)
 
     def test_order_validated(self):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    OVERLONG_INT,
     coherent_vector,
     direct_moment,
     gauss_hermite_factor,
+    int_conversion_error,
     noisy_wstate_density,
     padded_random_state,
     tmsv_schmidt_series,
@@ -726,8 +728,10 @@ class TestMomentTable:
     (lambda: load_moment_table('{"modes": 1, "entries": [{"k": [0], "l": [0], "re": 1'
                                + "0" * 400 + '}]}'),
      MomentDataError, "'re' of k=[0], l=[0] is out of range"),
+    (lambda: load_moment_table('{"modes": ' + OVERLONG_INT + ', "entries": []}'), MomentDataError,
+     f"moment table is not valid JSON: {int_conversion_error()}"),
 ], ids=["no-modes", "no-w-modes", "zero-cutoff", "numpy-scalar-cutoff", "negative-order",
-        "entry-not-object", "re-out-of-range"])
+        "entry-not-object", "re-out-of-range", "int-too-long-to-convert"])
 def test_refusals_name_their_reason(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

@@ -17,7 +17,7 @@ edit no longer applies.
 
 Run it on changes to ``matrix.py``, ``certify.py``, ``transpositions.py``,
 ``cli.py`` or a provider.  Each mutant runs in a fresh process with one BLAS
-thread; the whole list takes a few minutes, so it is not part of CI.
+thread.
 """
 
 from __future__ import annotations
@@ -127,6 +127,21 @@ MUTANTS = (
         "    count = count_up_to_weight(2 * provider.modes, order)",
         ("tests/test_moments.py::TestMomentTable::"
          "test_table_from_provider_refuses_moments_above_the_cap",),
+    ),
+    Mutant(
+        "scan-ignores-size-cap", MATRIX,
+        '"scan matrix rows", SIZE_CAP)',
+        '"scan matrix rows")',
+        ("tests/test_matrix.py::TestEigenScan::test_size_cap",),
+    ),
+    Mutant(
+        "no-modes-gate", "src/ptmoments/cli.py",
+        '    modes = _enumeration(_index(modes, "--modes", 1), "modes")',
+        '    modes = _index(modes, "--modes", 1)',
+        # Only the list forms: without the gate the broadcast forms would ask for 10^12 items.
+        tuple(f"tests/test_cli.py::TestCertify::"
+              f"test_mode_count_above_the_cap_refused_before_lists_are_built[lists-{command}]"
+              for command in ("certify", "moments-gen")),
     ),
 )
 
