@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,45 +207,38 @@ def monomial_at(modes: int, position: int) -> MonomialIndex:
 
 
 def position_of(m: MonomialIndex) -> int:
-    """1-based position of a monomial: weight-block offset plus in-block rank."""
-    u = m.pack()
-    d = len(u)
-    w = sum(u)
-    rank = 0
-    rem = w
-    # Count same-weight indices that precede u: fix coordinates from the top
-    # down; the C(rem - t + c - 1, c - 1) indices with value t < u_c at
-    # coordinate c sum by the hockey-stick identity.
-    for c in range(d - 1, 0, -1):
-        rank += math.comb(rem + c, c) - math.comb(rem - u[c] + c, c)
-        rem -= u[c]
-    return count_up_to_weight(d, w - 1) + rank + 1
+    """1-based position of a monomial, ranked by :func:`_rank` in exact integers."""
+    return _rank(m.pack(), math.comb)
 
 
-def binomial_table(d: int, max_weight: int) -> np.ndarray:
-    """``table[a, b] = C(a, b)`` for ``a <= max_weight + d`` and ``b <= d``."""
-    return np.array(
-        [[math.comb(a, b) for b in range(d + 1)] for a in range(max_weight + d + 1)],
-        dtype=np.int64,
-    )
-
-
-def packed_positions(packed: np.ndarray, binomials: np.ndarray) -> np.ndarray:
-    """:func:`position_of` for every row of an integer array of packed multi-indices.
-
-    With ``S`` the running sum of a row, the same-weight indices preceding
-    it number ``sum_c C(S_c + c, c) - C(S_(c-1) + c, c)`` over coordinates
-    ``c >= 1`` (the hockey-stick sum of the terms :func:`position_of` adds one
-    at a time), accumulated one coordinate at a time so that temporaries stay
-    one value per row.  ``binomials`` comes from :func:`binomial_table` with
-    at least the largest row weight.
-    """
-    d = packed.shape[1]
-    total = packed[:, 0].astype(np.int64)
-    rank = np.zeros(len(packed), dtype=np.int64)
+def _rank(u, comb, zero=0):
+    """The one gralex rank: the 1-based position of the ``d`` coordinates ``u``, ints or
+    integer columns, given ``comb(a, b) = C(a, b)`` for them and the ``zero`` that types
+    their running sum ``S``.  The same-weight indices before ``u`` number
+    ``sum_c C(S_c + c, c) - C(S_(c-1) + c, c)`` over ``c >= 1``: by the hockey-stick
+    identity, those smaller at ``c`` and equal above it."""
+    d, total, rank = len(u), zero + u[0], 0
     for c in range(1, d):
-        rank -= binomials[total + c, c]
-        total += packed[:, c]
-        rank += binomials[total + c, c]
+        rank -= comb(total + c, c)
+        total += u[c]
+        rank += comb(total + c, c)
     # C(w - 1 + d, d) indices have weight below w (zero when w = 0).
-    return binomials[total + d - 1, d] + rank + 1
+    return comb(total + d - 1, d) + rank + 1
+
+
+@lru_cache(maxsize=64)
+def _binomials(d: int, max_weight: int) -> np.ndarray:
+    """Read-only ``C(a, b)`` at ``[a, b]`` for ``a <= max_weight + d`` and ``b <= d``,
+    built once per (dimension, weight) and shared by every caller."""
+    table = np.array([[math.comb(a, b) for b in range(d + 1)]
+                      for a in range(max_weight + d + 1)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def packed_positions(packed: np.ndarray, max_weight: int) -> np.ndarray:
+    """:func:`position_of` of every row of an integer array of packed multi-indices of
+    weight at most ``max_weight``, ranked by :func:`_rank` one int64 column at a time
+    so that temporaries stay one value per row."""
+    table = _binomials(packed.shape[1], max_weight)
+    return _rank(packed.T, lambda a, b: table[a, b], np.zeros(len(packed), dtype=np.int64))

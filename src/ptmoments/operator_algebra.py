@@ -24,7 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import ExponentLimitError
-from .multiindex import MonomialIndex, _index, binomial_table, monomial_at, packed_positions
+from .multiindex import MonomialIndex, _index, monomial_at, packed_positions
 from .transpositions import _as_transposition
 
 # Expansion coefficients are j!*C(k,j)*C(p,j); refuse exponents whose
@@ -97,12 +97,12 @@ class EntryPlan:
     grouped by entry.  ``keys`` holds each distinct packed key once, in
     position order, as bytes (an exponent is at most ``2 * MAX_EXPONENT``).
     Transposing mode ``i`` swaps key columns ``2i - 2`` and ``2i - 1`` with the
-    coefficients unchanged, so one plan serves every cut: :meth:`cut` ranks
-    the distinct keys with a private binomial table.  Arrays are read-only.
-    Coefficients are float64 products of the exact per-mode integers, exact
-    while they stay below 2**53.  An entry's terms come in an order that its
-    row and column monomials alone fix, so every selection and cut sums that
-    entry alike.
+    coefficients unchanged, so one plan serves every cut: :meth:`cut` reranks the
+    distinct keys by :func:`packed_positions` up to the heaviest key weight it keeps.
+    Arrays are read-only.  Coefficients are float64 products of the exact per-mode
+    integers, exact while they stay below 2**53.  An entry's terms come in an order
+    that its row and column monomials alone fix, so every selection and cut sums
+    that entry alike.
     """
 
     def __init__(self, modes: int, monomials):
@@ -137,12 +137,12 @@ class EntryPlan:
         self.entry = entry
         self.coefficients = coefficients
         # The heaviest term of an entry has the weight of its row and column.
-        self._binomials = binomial_table(2 * modes, 2 * int(exponents.sum(axis=(1, 2)).max()))
+        self._max_weight = 2 * int(exponents.sum(axis=(1, 2)).max())
         _, first, self.key_index = np.unique(
-            packed_positions(keys, self._binomials), return_index=True, return_inverse=True
+            packed_positions(keys, self._max_weight), return_index=True, return_inverse=True
         )
         self.keys = keys[first]
-        for array in (self.entry, self.coefficients, self.keys, self.key_index, self._binomials):
+        for array in (self.entry, self.coefficients, self.keys, self.key_index):
             array.setflags(write=False)
 
     def cut(self, members) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +151,7 @@ class EntryPlan:
         for mode in members:
             swap[[2 * mode - 2, 2 * mode - 1]] = [2 * mode - 1, 2 * mode - 2]
         keys = self.keys[:, swap]
-        return packed_positions(keys, self._binomials), keys
+        return packed_positions(keys, self._max_weight), keys
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)

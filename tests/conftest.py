@@ -26,6 +26,11 @@ def selection_of(*positions):
     return Selection(tuple(sorted(set(int(p) for p in positions))))
 
 
+def idx(*pairs):
+    """The monomial with the per-mode (creation, annihilation) exponent ``pairs``."""
+    return MonomialIndex(tuple(pairs))
+
+
 def ladder(cutoff):
     a = np.zeros((cutoff, cutoff), dtype=complex)
     for m in range(1, cutoff):

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     Displaced,
     cuts_by_colouring,
+    exact_witness_margin,
     random_coherent_mixture,
     random_product_mixture,
     tmsv_vector,
@@ -36,6 +37,7 @@ from ptmoments import (
     canonical_bipartitions,
     certify_full,
     count_up_to_weight,
+    determinant,
     eigen_negativity_scan,
     four_mode_pair_groups,
     load_moment_table,
@@ -298,12 +300,14 @@ class TestCertifyFull:
             assert not any(outcome.npt for outcome in report.outcomes)
 
     @staticmethod
-    def adversarial_table(seed):
-        """A coherent-product table of order 2-3 with every moment moved by its
-        full tolerance to lower q = c^dagger M c on one cut, c being the lowest
-        eigenvector of that cut's true scan matrix.  Entry (r, s) of M weighs its
-        terms by conj(c_r) c_s, so moment j moves against its weight w_j; one key
-        of each Hermitian pair is written and the loader conjugates the other."""
+    def adversarial_table(seed, push=1.0):
+        """A coherent-product table of order 2-3, and its JSON doc, with every moment
+        moved to lower q = c^dagger M c on one cut, c being the lowest eigenvector of
+        that cut's true scan matrix: the identity by the tolerance the table records
+        (then brought back within it), every other moment by ``push`` times it.
+        Entry (r, s) of M weighs its terms by conj(c_r) c_s, so moment j moves
+        against its weight w_j; one key of each Hermitian pair is written and the
+        loader conjugates the other."""
         rng = np.random.default_rng(seed)
         modes, order = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         tolerance = 10.0 ** rng.uniform(-8, -2)
@@ -325,13 +329,14 @@ class TestCertifyFull:
             if partner < position:
                 continue
             w = (weights[position] + weights[partner].conjugate()) / 2
-            value = provider.moment(key) - (tolerance * w.conjugate() / abs(w) if w else 0)
+            shift = tolerance * (push if position > 1 else 1.0)
+            value = provider.moment(key) - (shift * w.conjugate() / abs(w) if w else 0)
             while position == 1 and abs(value - 1) > tolerance:
                 value = math.nextafter(value.real, 1)
             entries.append({"k": [k for k, _ in key.pairs], "l": [l for _, l in key.pairs],
                             "re": value.real, "im": value.imag})
         doc = {"modes": modes, "tolerance": tolerance, "entries": entries}
-        return load_moment_table(json.dumps(doc)), order, cut
+        return load_moment_table(json.dumps(doc)), order, cut, doc
 
     @pytest.mark.parametrize("alpha, nbar", [(0.05, 0.0), (0.13, 0.03), (0.2, 0.06), (0.3, 0.06)])
     @pytest.mark.parametrize("strategy", ["eigen-scan", "both"])
@@ -348,11 +353,36 @@ class TestCertifyFull:
         # Every moment lies within the table's tolerance of a separable state's,
         # so no cut may be NPT, though the targeted cut's lowest eigenvalue falls
         # below -tolerance and its witness search runs.
-        table, order, cut = self.adversarial_table(seed)
+        table, order, cut, _ = self.adversarial_table(seed)
         report = certify_full(table, SearchBudget(max_order=order))
         assert not any(outcome.npt for outcome in report.outcomes)
         (target,) = [o for o in report.outcomes if o.transposition == cut]
         assert target.min_eigenvalue < -table.tolerance
+
+    @pytest.mark.parametrize("push", [1.05, 1.2, 2.0])
+    def test_pushed_tables_judge_negative_only_what_exact_arithmetic_proves(
+            self, push, monkeypatch):
+        # Moments pushed past the recorded tolerance may make cuts NPT, but the float
+        # rule must never call a minor negative that the exact rule cannot prove so.
+        judged = set()
+
+        def recording(matrix):
+            result = determinant(matrix)
+            if result.negative:
+                judged.add((result.transposition.members, result.selection.positions))
+            return result
+
+        monkeypatch.setattr("ptmoments.matrix.determinant", recording)
+        npt = 0
+        for seed in range(20):
+            judged.clear()
+            table, order, _, doc = self.adversarial_table(seed, push)
+            report = certify_full(table, SearchBudget(max_order=order))
+            npt += sum(outcome.npt for outcome in report.outcomes)
+            for members, positions in judged:
+                det, bound = exact_witness_margin(doc, members, positions)
+                assert det + bound < 0, (seed, sorted(members), positions)
+        assert npt > 0
 
     # Today's verdicts on strong squeezing, pinned so that a change of the negativity
     # rule shows here: see CHANGES.md, FOUND "strong squeezing is never certified".

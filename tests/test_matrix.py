@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import evaluate_terms, min_principal_minor, padded_random_state, selection_of
+from conftest import evaluate_terms, idx, min_principal_minor, padded_random_state, selection_of
 from ptmoments import (
     CoherentProductMoments,
     FockStateMoments,
@@ -45,10 +45,6 @@ from ptmoments import (
 from ptmoments.certify import _pair_combinations
 from ptmoments.matrix import negativity_threshold
 from ptmoments.operator_algebra import plan_for
-
-
-def idx(*pairs):
-    return MonomialIndex(tuple(pairs))
 
 
 class TestSelection:

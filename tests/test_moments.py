@@ -13,6 +13,7 @@ from conftest import (
     coherent_vector,
     direct_moment,
     gauss_hermite_factor,
+    idx,
     int_conversion_error,
     noisy_wstate_density,
     padded_random_state,
@@ -46,10 +47,6 @@ from ptmoments import (
     table_from_provider,
 )
 from ptmoments.moments import _gaussian_moment
-
-
-def idx(*pairs):
-    return MonomialIndex(tuple(pairs))
 
 
 def keys_up_to_weight(modes, wmax):

@@ -27,7 +27,7 @@ from ptmoments import (
     position_of,
 )
 from ptmoments.moments import FockStateMoments, MomentProvider
-from ptmoments.multiindex import binomial_table, packed_positions
+from ptmoments.multiindex import _binomials, packed_positions
 from ptmoments.operator_algebra import normal_order_single_mode
 
 
@@ -238,8 +238,15 @@ class TestMonomialIndex:
             packed = np.array([monomial_at(modes, p).pack() for p in range(1, total + 1)])
             rng = np.random.default_rng(modes)
             order = rng.permutation(total)
-            got = packed_positions(packed[order], binomial_table(d, max_weight))
+            got = packed_positions(packed[order], max_weight)
             assert got.tolist() == (order + 1).tolist()
+
+    def test_binomial_table_is_shared_and_read_only(self):
+        # Every ranking of one dimension and weight reads the same table.
+        table = _binomials(8, 4)
+        assert table is _binomials(8, 4)
+        assert not table.flags.writeable
+        assert table[12, 8] == math.comb(12, 8) and table[7, 8] == 0
 
     def test_pack_unpack_roundtrip(self):
         rng = np.random.default_rng(11)

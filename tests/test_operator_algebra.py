@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import evaluate_terms
+from conftest import evaluate_terms, idx
 from ptmoments import (
     CoherentProductMoments,
     ExponentLimitError,
@@ -21,10 +21,6 @@ from ptmoments import (
     position_of,
 )
 from ptmoments.operator_algebra import plan_for
-
-
-def idx(*pairs):
-    return MonomialIndex(tuple(pairs))
 
 
 class TestNormalOrderSingleMode:

@@ -16,7 +16,7 @@ result; the exit code is 1 when a result differs from the expectation or an
 edit no longer applies.
 
 Run it on changes to ``matrix.py``, ``certify.py``, ``transpositions.py``,
-``cli.py`` or a provider.  Each mutant runs in a fresh process with one BLAS
+``multiindex.py``, ``cli.py`` or a provider.  Each mutant runs in a fresh process with one BLAS
 thread.
 """
 
@@ -100,7 +100,9 @@ MUTANTS = (
         "        threshold += float(np.prod(norms + np.linalg.norm(uncertainty, axis=1))"
         " - np.prod(norms))",
         "        threshold += 0.0",
-        ("tests/test_matrix.py::TestDeterminant::test_threshold_weighs_the_uncertainty",),
+        ("tests/test_matrix.py::TestDeterminant::test_threshold_weighs_the_uncertainty",
+         "tests/test_certify.py::TestCertifyFull::"
+         "test_pushed_tables_judge_negative_only_what_exact_arithmetic_proves"),
     ),
     Mutant(
         "positive-determinant-called-negative", MATRIX,
@@ -142,6 +144,12 @@ MUTANTS = (
         tuple(f"tests/test_cli.py::TestCertify::"
               f"test_mode_count_above_the_cap_refused_before_lists_are_built[lists-{command}]"
               for command in ("certify", "moments-gen")),
+    ),
+    Mutant(
+        "rank-offset-one-weight-up", "src/ptmoments/multiindex.py",
+        "    return comb(total + d - 1, d) + rank + 1",
+        "    return comb(total + d, d) + rank + 1",
+        ("tests/test_multiindex.py::TestMonomialIndex",),
     ),
 )
 
